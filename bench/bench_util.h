@@ -27,7 +27,7 @@ namespace fermihedral::bench {
 
 /**
  * The shared SAT-engine flags: every descent-running binary
- * registers the same portfolio/preprocessing knobs with one
+ * registers the same sat::EngineConfig knobs with one
  * EngineFlags::add(flags) call. Registration also arms an active
  * overlay that descentOptions() and compilationRequest() apply, so
  * the knobs reach every descent in the binary without threading
@@ -41,8 +41,6 @@ struct EngineFlags
     const bool *preprocess = nullptr;
     const bool *carry = nullptr;
     const bool *inprocess = nullptr;
-    const double *deadlineSeconds = nullptr;
-    hw::TopologyFlags topology;
 
     static EngineFlags
     add(FlagSet &flags)
@@ -68,48 +66,22 @@ struct EngineFlags
         engine.inprocess = flags.addBool(
             "inprocess", true,
             "subsumption + vivification between descent steps");
-        engine.deadlineSeconds = flags.addDouble(
-            "deadline-seconds", 0.0,
-            "wall-clock deadline per compilation (<= 0 = none); "
-            "past it the pipeline degrades to its best-so-far "
-            "encoding with status deadline-exceeded");
-        engine.topology = hw::TopologyFlags::add(flags);
         storage() = engine;
         return engine;
     }
 
+    /** Serves DescentOptions and CompilationRequest alike. */
     void
-    apply(core::DescentOptions &options) const
+    apply(sat::EngineConfig &config) const
     {
-        options.threads = static_cast<std::size_t>(
+        config.threads = static_cast<std::size_t>(
             *threads < 0 ? 0 : *threads);
-        options.portfolioInstances = static_cast<std::size_t>(
+        config.portfolioInstances = static_cast<std::size_t>(
             *instances < 0 ? 0 : *instances);
-        options.deterministic = !*racing;
-        options.preprocess = *preprocess;
-        options.carryLearnts = *carry;
-        options.inprocess = *inprocess;
-    }
-
-    void
-    apply(api::CompilationRequest &request) const
-    {
-        request.threads = static_cast<std::size_t>(
-            *threads < 0 ? 0 : *threads);
-        request.portfolioInstances = static_cast<std::size_t>(
-            *instances < 0 ? 0 : *instances);
-        request.deterministic = !*racing;
-        request.preprocess = *preprocess;
-        request.carryLearnts = *carry;
-        request.inprocess = *inprocess;
-        // Deadlines are a facade/service-level contract; the raw
-        // DescentOptions overload deliberately has no equivalent.
-        request.deadlineSeconds = *deadlineSeconds;
-        // A --topology/--topology-file flag makes every request in
-        // the binary hardware-aware: an Auto objective resolves to
-        // routed-cost and costs become routed estimates.
-        if (auto resolved = topology.resolve())
-            request.topology = *std::move(resolved);
+        config.deterministic = !*racing;
+        config.preprocess = *preprocess;
+        config.carryLearnts = *carry;
+        config.inprocess = *inprocess;
     }
 
     /** The overlay armed by add(), if any (one per binary). */
@@ -127,6 +99,22 @@ struct EngineFlags
         return registered;
     }
 };
+
+/**
+ * Register --deadline-seconds, a facade/service-level contract:
+ * only binaries whose compilations go through an
+ * api::CompilationRequest register it and copy the value into
+ * request.deadlineSeconds (DescentOptions has no deadline).
+ */
+inline const double *
+addDeadlineFlag(FlagSet &flags)
+{
+    return flags.addDouble(
+        "deadline-seconds", 0.0,
+        "wall-clock deadline per compilation (<= 0 = none); past "
+        "it the pipeline degrades to its best-so-far encoding with "
+        "status deadline-exceeded");
+}
 
 /** Paper configuration names (Sec. 5.1). */
 enum class Config
@@ -204,6 +192,13 @@ compilationRequest(Config config, double step_timeout,
     request.totalTimeoutSeconds = total_timeout;
     if (const EngineFlags *engine = EngineFlags::active())
         engine->apply(request);
+    // A --topology/--topology-file flag makes every request in the
+    // binary hardware-aware: an Auto objective resolves to
+    // routed-cost and costs become routed estimates.
+    if (const auto *topology = hw::TopologyFlags::active()) {
+        if (auto resolved = topology->resolve())
+            request.topology = *std::move(resolved);
+    }
     applyProgressFlag(request);
     return request;
 }

@@ -55,8 +55,6 @@ main(int argc, char **argv)
     api::CompilationRequest request = bench::compilationRequest(
         bench::Config::FullSat, *timeout / 2.0, *timeout);
     request.hamiltonian = h2;
-    if (topology)
-        request.topology = *topology;
 
     const auto noise = sim::NoiseModel::ionqAria1();
     std::vector<std::string> headers = {"Encoding", "E measured",

@@ -2,20 +2,18 @@
  * @file
  * Figure 11: time to construct and to solve the encoding problem
  * with vs without the algebraic independence clauses, and the
- * resulting speedups. As in the paper, the time the solver spends
- * proving that no cheaper encoding exists is excluded: "solving"
- * is the time until the best model was found.
+ * resulting speedups. The paper's "solving" time excludes the time
+ * the solver spends proving that no cheaper encoding exists: the
+ * "Best" columns are the time until the best model was found. The
+ * "Proof" columns add the whole descent including that proof, and
+ * "Proved" says whether it ended in one or ran out of budget.
  *
  * On top of the paper's figure this binary exposes the SAT engine:
  * --threads/--instances/--racing/--preprocess select the portfolio
  * configuration, a second table reports per-run solver statistics
  * (propagations, conflicts, learnt literals, simplifier
- * eliminations), --compare races the configured engine against
- * its ungated predecessor (unbudgeted upfront preprocessing, no
- * between-step maintenance) at equal budgets — best-of---repeats
- * per cell — and reports the descended-cost-vs-wallclock outcome,
- * and --json dumps everything as a machine-readable artifact for
- * CI trend tracking.
+ * eliminations), and --json dumps everything as a machine-readable
+ * artifact for CI trend tracking.
  */
 
 #include <cstdio>
@@ -40,25 +38,12 @@ struct Measurement
 };
 
 Measurement
-run(std::size_t modes, bench::Config config, double timeout,
-    bool baseline_engine)
+run(std::size_t modes, bench::Config config, double timeout)
 {
-    // Same paper configuration the other benches use. The
-    // registered EngineFlags overlay has already been applied by
-    // descentOptions(); baseline runs then pin the previous
-    // engine generation over it: unconditional upfront
-    // preprocessing (no wall-clock budget, no size ceiling) and no
-    // between-step maintenance. It reused one incremental solver
-    // across bound steps — implicit carry-over — so carry stays on.
-    core::DescentOptions options =
-        bench::descentOptions(config, timeout / 2.0, timeout);
-    if (baseline_engine) {
-        options.inprocess = false;
-        options.carryLearnts = true;
-        options.preprocessBudgetSeconds = -1.0;
-        options.preprocessMaxClauses = 0;
-    }
-    core::DescentSolver solver(modes, options);
+    // Same paper configuration the other benches use, with the
+    // registered EngineFlags overlay applied by descentOptions().
+    core::DescentSolver solver(
+        modes, bench::descentOptions(config, timeout / 2.0, timeout));
     Measurement m;
     m.result = solver.solve();
     m.construct = m.result.constructSeconds;
@@ -145,15 +130,6 @@ main(int argc, char **argv)
     const auto *timeout =
         flags.addDouble("timeout", 60.0, "budget per run (s)");
     const auto engine = bench::EngineFlags::add(flags);
-    const auto *compare = flags.addBool(
-        "compare", false,
-        "also run the previous engine generation (ungated upfront "
-        "preprocessing, no between-step maintenance) and report "
-        "cost-vs-wallclock against it");
-    const auto *repeats = flags.addInt(
-        "repeats", 3,
-        "best-of repeats per --compare measurement (the duel "
-        "decides sub-10ms races; single runs are noise-bound)");
     const auto *json_path = flags.addString(
         "json", "", "write run statistics to this JSON file");
     const auto tflags = telemetry::TelemetryFlags::add(flags);
@@ -165,8 +141,9 @@ main(int argc, char **argv)
 
     bench::banner("time to construct and solve", "Figure 11");
     Table table({"Modes", "Construct w/ (s)", "Construct w/o (s)",
-                 "Speedup", "Solve w/ (s)", "Solve w/o (s)",
-                 "Speedup", "Same cost?"});
+                 "Speedup", "Best w/ (s)", "Best w/o (s)", "Speedup",
+                 "Proof w/ (s)", "Proof w/o (s)", "Proved w/,w/o",
+                 "Same cost?"});
     Table stats({"Modes", "Config", "Props", "Conflicts",
                  "Learnt lits", "Elim vars", "Subsumed",
                  "Clauses simp/orig", "GCs", "Inproc",
@@ -175,17 +152,13 @@ main(int argc, char **argv)
     // Discarded warmup: the first descent of the process pays the
     // allocator and page-fault costs, which at N=2/3 are the same
     // order as the measured solve itself.
-    (void)run(2, bench::Config::NoAlg, *timeout,
-              /*baseline_engine=*/false);
+    (void)run(2, bench::Config::NoAlg, *timeout);
 
     for (std::int64_t n = 2; n <= *max_modes; ++n) {
-        const auto with =
-            run(static_cast<std::size_t>(n),
-                bench::Config::FullSat, *timeout,
-                /*baseline_engine=*/false);
-        const auto without =
-            run(static_cast<std::size_t>(n), bench::Config::NoAlg,
-                *timeout, /*baseline_engine=*/false);
+        const auto with = run(static_cast<std::size_t>(n),
+                              bench::Config::FullSat, *timeout);
+        const auto without = run(static_cast<std::size_t>(n),
+                                 bench::Config::NoAlg, *timeout);
         auto speedup = [](double a, double b) {
             return b > 1e-9 ? Table::num(a / b, 1) + "x"
                             : std::string("-");
@@ -197,6 +170,10 @@ main(int argc, char **argv)
              Table::num(with.solve, 4),
              Table::num(without.solve, 4),
              speedup(with.solve, without.solve),
+             Table::num(with.totalSolve, 4),
+             Table::num(without.totalSolve, 4),
+             std::string(with.result.provedOptimal ? "yes" : "no") +
+                 "," + (without.result.provedOptimal ? "yes" : "no"),
              with.result.cost == without.result.cost ? "yes"
                                                      : "no"});
         for (const auto *m : {&with, &without}) {
@@ -232,7 +209,9 @@ main(int argc, char **argv)
     std::printf("%s", table.render().c_str());
     std::printf("Dropping the 4^N independence clauses should give "
                 "growing construct and solve speedups while the "
-                "optimal cost stays identical (Sec. 4.1).\n\n");
+                "optimal cost stays identical (Sec. 4.1). Best is "
+                "time-to-best (the paper's solve time); Proof is the "
+                "whole descent, a full budget when unproved.\n\n");
     std::printf("%s", stats.render().c_str());
     const std::size_t resolved_threads =
         ThreadPool::resolveThreadCount(*engine.threads);
@@ -248,90 +227,6 @@ main(int argc, char **argv)
                 *engine.preprocess ? "on" : "off",
                 *engine.carry ? "on" : "off",
                 *engine.inprocess ? "on" : "off");
-
-    if (*compare) {
-        std::printf("\n");
-        bench::banner("gated engine vs ungated predecessor "
-                      "at equal budgets",
-                      "Figure 11 extension");
-        Table duel({"Modes", "Config", "Cost base", "Cost engine",
-                    "t-best base (s)", "t-best engine (s)",
-                    "Speedup"});
-        // Lower cost wins outright; at equal cost the faster
-        // time-to-best does. Best-of-R with the two engines
-        // interleaved: process-level noise (page cache, scheduler)
-        // drifts over seconds, and at sub-10ms scales a single
-        // measurement is decided by that drift, not the solver.
-        const auto better = [](const Measurement &a,
-                               const Measurement &b) {
-            if (b.result.cost != a.result.cost)
-                return b.result.cost < a.result.cost;
-            return b.solve < a.solve;
-        };
-        const std::int64_t rounds = std::max<std::int64_t>(
-            std::int64_t{1}, *repeats);
-        for (std::int64_t n = 2; n <= *max_modes; ++n) {
-            for (const auto config : {bench::Config::FullSat,
-                                      bench::Config::NoAlg}) {
-                const bool full =
-                    config == bench::Config::FullSat;
-                auto base =
-                    run(static_cast<std::size_t>(n), config,
-                        *timeout, /*baseline_engine=*/true);
-                auto tuned =
-                    run(static_cast<std::size_t>(n), config,
-                        *timeout, /*baseline_engine=*/false);
-                // Cells whose whole solve is under half a second
-                // are decided by sub-millisecond scheduler noise:
-                // buy those extra rounds, they cost nearly nothing.
-                for (std::int64_t r = 1;
-                     r < rounds ||
-                     (r < 5 * rounds &&
-                      std::min(base.totalSolve,
-                               tuned.totalSolve) < 0.5);
-                     ++r) {
-                    const auto b =
-                        run(static_cast<std::size_t>(n), config,
-                            *timeout, /*baseline_engine=*/true);
-                    if (better(base, b))
-                        base = b;
-                    const auto e =
-                        run(static_cast<std::size_t>(n), config,
-                            *timeout, /*baseline_engine=*/false);
-                    if (better(tuned, e))
-                        tuned = e;
-                }
-                duel.addRow(
-                    {Table::num(n), full ? "w/ alg" : "w/o alg",
-                     Table::num(std::int64_t(base.result.cost)),
-                     Table::num(std::int64_t(tuned.result.cost)),
-                     Table::num(base.solve, 4),
-                     Table::num(tuned.solve, 4),
-                     tuned.solve > 1e-9
-                         ? Table::num(base.solve / tuned.solve,
-                                      2) +
-                               "x"
-                         : "-"});
-                // Both duel sides go to the JSON so engine_* vs
-                // baseline_* reproduces the table exactly (the
-                // first-loop full_sat/no_alg rows are single-shot
-                // and noisier).
-                appendRunJson(json,
-                              full ? "baseline_full_sat"
-                                   : "baseline_no_alg",
-                              n, base);
-                appendRunJson(json,
-                              full ? "engine_full_sat"
-                                   : "engine_no_alg",
-                              n, tuned);
-            }
-        }
-        std::printf("%s", duel.render().c_str());
-        std::printf("t-best is the wall-clock until the cheapest "
-                    "encoding was found (the paper's solve-time "
-                    "convention); equal costs with a smaller "
-                    "t-best is the win condition.\n");
-    }
 
     json += "\n]\n";
     if (!json_path->empty()) {

@@ -337,11 +337,11 @@ BM_PortfolioSolveRandom3Sat(benchmark::State &state)
     for (auto _ : state) {
         state.PauseTiming();
         Rng rng(77);
-        sat::PortfolioOptions options;
-        options.instances = instances;
-        options.threads = instances;
-        options.deterministic = false;
-        sat::PortfolioSolver solver(options);
+        sat::EngineConfig config;
+        config.portfolioInstances = instances;
+        config.threads = instances;
+        config.deterministic = false;
+        sat::PortfolioSolver solver(config);
         for (int v = 0; v < num_vars; ++v)
             solver.newVar();
         for (int c = 0; c < clauses; ++c) {

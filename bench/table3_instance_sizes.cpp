@@ -10,17 +10,21 @@
  * happens. Defaults build "with" instances up to N = 7 (N = 8 takes
  * a while and several GB in the paper's setup too) and "without" up
  * to N = 18 like the paper. The preprocessing columns run the
- * simplifier exactly as a descent solve would: operator bits and
- * totalizer outputs frozen, everything else eliminable.
+ * simplifier on the construction's clauses with the variables a
+ * descent solve freezes (operator bits and totalizer outputs),
+ * everything else eliminable, and without the size ceiling and
+ * wall-clock cap the portfolio applies.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/flags.h"
 #include "common/table.h"
 #include "core/encoding_model.h"
-#include "sat/portfolio.h"
+#include "sat/dimacs.h"
+#include "sat/preprocess.h"
 #include "sat/solver.h"
 
 using namespace fermihedral;
@@ -48,26 +52,36 @@ buildInstance(std::size_t modes, bool algebraic_independence,
     options.modes = modes;
     options.algebraicIndependence = algebraic_independence;
     options.costCap = enc::bravyiKitaev(modes).totalWeight();
-    {
-        sat::Solver solver;
-        core::EncodingModel model(solver, options);
-        size.vars = solver.numVars();
-        size.clauses = solver.numClauses();
-        size.binaryClauses = solver.numBinaryClauses();
-        size.arenaWords = solver.arenaWords();
-    }
+    sat::Solver solver;
+    core::EncodingModel model(solver, options);
+    size.vars = solver.numVars();
+    size.clauses = solver.numClauses();
+    size.binaryClauses = solver.numBinaryClauses();
+    size.arenaWords = solver.arenaWords();
     if (simplify) {
-        sat::PortfolioOptions engine;
-        engine.instances = 1;
-        sat::PortfolioSolver solver(engine);
-        core::EncodingModel model(solver, options);
-        solver.prepare();
-        const auto &stats = solver.portfolioStats().simplifier;
-        // The simplifier's own wall-clock, excluding the CDCL
-        // instance construction prepare() also performs.
+        const sat::Cnf cnf = sat::snapshotCnf(solver);
+        sat::Simplifier simplifier(cnf.numVars);
+        for (const auto &clause : cnf.clauses)
+            simplifier.addClause(clause);
+        // Freeze what EncodingModel freezes: the operator bits and
+        // the totalizer outputs the descent's bounds address.
+        for (std::size_t s = 0; s < 2 * modes; ++s) {
+            for (std::size_t q = 0; q < modes; ++q) {
+                simplifier.freeze(sat::litVar(model.bit1(s, q)));
+                simplifier.freeze(sat::litVar(model.bit2(s, q)));
+            }
+        }
+        const std::size_t outputs =
+            std::min(model.numCostInputs(), options.costCap + 1);
+        for (std::size_t bound = 0; bound < outputs; ++bound) {
+            simplifier.freeze(
+                sat::litVar(model.costAtMostAssumption(bound)));
+        }
+        simplifier.run();
+        const auto &stats = simplifier.stats();
         size.simplifySeconds = stats.seconds;
         size.eliminated = stats.eliminatedVariables;
-        size.simplifiedVars = solver.numVars() -
+        size.simplifiedVars = cnf.numVars -
                               stats.eliminatedVariables -
                               stats.fixedVariables;
         size.simplifiedClauses = stats.simplifiedClauses;
@@ -157,8 +171,9 @@ main(int argc, char **argv)
     std::printf("Preprocessing (subsumption, self-subsuming "
                 "resolution, bounded variable elimination; "
                 "operator bits and totalizer outputs frozen) "
-                "shrinks the instances before the descent's first "
-                "SAT call.\n\n");
+                "shrinks the instances; a descent runs it before "
+                "its first SAT call on formulas of at most 4000 "
+                "clauses.\n\n");
     std::printf("%s", layout.render().c_str());
     std::printf("Solver-core layout of the raw instances: binary "
                 "clauses propagate entirely from their dedicated "

@@ -67,6 +67,8 @@ main(int argc, char **argv)
     const auto *large =
         flags.addBool("large", false, "run the full paper range");
     bench::EngineFlags::add(flags);
+    const auto *deadline = bench::addDeadlineFlag(flags);
+    hw::TopologyFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
     if (!flags.parse(argc, argv))
         return 0;
@@ -87,6 +89,7 @@ main(int argc, char **argv)
         api::CompilationRequest request = bench::compilationRequest(
             bench::Config::FullSat, *timeout / 2.0, *timeout);
         request.hamiltonian = h;
+        request.deadlineSeconds = *deadline;
         const auto result = compiler.compile(request);
 
         const std::size_t bk_weight = result.baselineCost;

@@ -73,6 +73,8 @@ main(int argc, char **argv)
     const auto *large =
         flags.addBool("large", false, "run the full paper range");
     bench::EngineFlags::add(flags);
+    const auto *deadline = bench::addDeadlineFlag(flags);
+    hw::TopologyFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
     if (!flags.parse(argc, argv))
         return 0;
@@ -94,6 +96,7 @@ main(int argc, char **argv)
             /*vacuum=*/false);
         request.strategy = "sat+annealing";
         request.hamiltonian = h;
+        request.deadlineSeconds = *deadline;
         const auto result = compiler.compile(request);
 
         table.addRow(

@@ -52,6 +52,8 @@ main(int argc, char **argv)
     const auto *time =
         flags.addDouble("time", 1.0, "evolution time t");
     bench::EngineFlags::add(flags);
+    const auto *deadline = bench::addDeadlineFlag(flags);
+    hw::TopologyFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
     if (!flags.parse(argc, argv))
         return 0;
@@ -83,6 +85,7 @@ main(int argc, char **argv)
         api::CompilationRequest request = bench::compilationRequest(
             test_case.config, *timeout / 2.0, *timeout);
         request.hamiltonian = test_case.hamiltonian;
+        request.deadlineSeconds = *deadline;
         const std::string sat_strategy = request.strategy;
 
         const auto jw_costs =

@@ -102,6 +102,7 @@ main(int argc, char **argv)
     const auto *json_path = flags.addString(
         "json", "", "write the measured cells to this JSON file");
     const auto engine = bench::EngineFlags::add(flags);
+    const auto *deadline = bench::addDeadlineFlag(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
     if (!flags.parse(argc, argv))
         return 0;
@@ -134,10 +135,7 @@ main(int argc, char **argv)
                 spec.totalTimeoutSeconds = *timeout;
                 auto request = api::buildRequest(spec);
                 engine.apply(request);
-                // The sweep owns the topology axis; a --topology
-                // override from EngineFlags would collapse it.
-                request.topology =
-                    hw::Topology::parseSpec(topology_spec);
+                request.deadlineSeconds = *deadline;
                 bench::applyProgressFlag(request);
 
                 const auto compiled = compiler.compile(request);

@@ -42,6 +42,7 @@
 #include "hw/topology.h"
 #include "pauli/commuting_groups.h"
 #include "pauli/pauli_sum.h"
+#include "sat/engine_config.h"
 
 namespace fermihedral::api {
 
@@ -91,8 +92,12 @@ enum class ResultStatus
 /** Printable name of a result status. */
 const char *resultStatusName(ResultStatus status);
 
-/** One compilation problem: spec, strategy, constraints, budgets. */
-struct CompilationRequest
+/**
+ * One compilation problem: spec, strategy, constraints, budgets.
+ * The SAT-engine knobs come from sat::EngineConfig; like the
+ * budgets they are execution knobs, NOT part of the cache identity.
+ */
+struct CompilationRequest : sat::EngineConfig
 {
     /** Fermionic mode count (ignored when `hamiltonian` is set). */
     std::size_t modes = 0;
@@ -146,24 +151,6 @@ struct CompilationRequest
      * cache identity.
      */
     CancellationToken cancellation;
-
-    /** Threads racing each SAT step (0 = hardware concurrency). */
-    std::size_t threads = 1;
-
-    /** Portfolio instances per SAT step (0 = one per thread). */
-    std::size_t portfolioInstances = 0;
-
-    /** Fixed-winner arbitration (bit-identical across threads). */
-    bool deterministic = true;
-
-    /** Simplify the clause database before the first SAT call. */
-    bool preprocess = true;
-
-    /** Keep learnt clauses across descent steps (carry-over). */
-    bool carryLearnts = true;
-
-    /** Inprocess clause databases between descent steps. */
-    bool inprocess = true;
 
     /**
      * Per-bound progress observer forwarded to every descent the

@@ -199,17 +199,17 @@ expandModelRanges(const std::string &model)
             const std::size_t x2 = high.find('x');
             const auto l1 = parseCount(
                 std::string_view(low).substr(0, x1));
-            const auto w1 =
+            // A missing 'x' parses as the empty count, i.e. none.
+            const auto w1 = parseCount(
                 x1 == std::string::npos
-                    ? std::nullopt
-                    : parseCount(std::string_view(low).substr(x1 + 1));
+                    ? std::string_view()
+                    : std::string_view(low).substr(x1 + 1));
             const auto l2 = parseCount(
                 std::string_view(high).substr(0, x2));
-            const auto w2 =
+            const auto w2 = parseCount(
                 x2 == std::string::npos
-                    ? std::nullopt
-                    : parseCount(
-                          std::string_view(high).substr(x2 + 1));
+                    ? std::string_view()
+                    : std::string_view(high).substr(x2 + 1));
             if (!l1 || !w1 || !l2 || !w2 || *l1 > *l2 || *w1 > *w2)
                 fatal("malformed warm range '", model,
                       "': expected hubbard:L1xW1..L2xW2");

@@ -227,7 +227,7 @@ CompilerService::diskEntryPath(const std::string &key) const
     std::filesystem::path path(options.diskCachePath);
     if (options.diskCacheShards > 0) {
         // Sharded layout: <store>/<hash mod N as %02x>/<hash>.fhc.
-        char shard[16];
+        char shard[17]; // room for any 64-bit value in hex
         std::snprintf(shard, sizeof shard, "%02llx",
                       static_cast<unsigned long long>(
                           hash % options.diskCacheShards));

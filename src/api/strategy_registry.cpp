@@ -213,16 +213,11 @@ descentOptions(const CompilationRequest &request,
                bool algebraic_independence)
 {
     core::DescentOptions options;
+    static_cast<sat::EngineConfig &>(options) = request;
     options.algebraicIndependence = algebraic_independence;
     options.vacuumPreservation = request.vacuumPreservation;
     options.stepTimeoutSeconds = request.stepTimeoutSeconds;
     options.totalTimeoutSeconds = request.totalTimeoutSeconds;
-    options.threads = request.threads;
-    options.portfolioInstances = request.portfolioInstances;
-    options.deterministic = request.deterministic;
-    options.preprocess = request.preprocess;
-    options.carryLearnts = request.carryLearnts;
-    options.inprocess = request.inprocess;
     options.progress = request.progress;
     options.stopFlag = request.cancellation.flag();
     return options;

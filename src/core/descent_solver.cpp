@@ -8,6 +8,23 @@
 
 namespace fermihedral::core {
 
+namespace {
+
+/** Consider inprocessing every this-many SAT steps. */
+constexpr std::size_t kInprocessInterval = 3;
+
+/**
+ * Skip inprocessing while the search is easy: maintenance only
+ * runs once at least this many conflicts accumulated since the
+ * last one. Early descent steps are often solved almost purely by
+ * propagation, and subsumption+vivification over a database that
+ * produced no learnt clauses is pure overhead on the time-to-best
+ * clock.
+ */
+constexpr std::size_t kInprocessMinConflicts = 2000;
+
+} // namespace
+
 DescentSolver::DescentSolver(std::size_t modes,
                              const DescentOptions &options)
     : modes(modes), options(options)
@@ -25,15 +42,7 @@ DescentSolver::DescentSolver(
 std::unique_ptr<sat::PortfolioSolver>
 DescentSolver::makeSolver() const
 {
-    sat::PortfolioOptions portfolio;
-    portfolio.threads = options.threads;
-    portfolio.instances = options.portfolioInstances;
-    portfolio.deterministic = options.deterministic;
-    portfolio.preprocess = options.preprocess;
-    portfolio.simplify.timeBudgetSeconds =
-        options.preprocessBudgetSeconds;
-    portfolio.preprocessMaxClauses = options.preprocessMaxClauses;
-    return std::make_unique<sat::PortfolioSolver>(portfolio);
+    return std::make_unique<sat::PortfolioSolver>(options);
 }
 
 void
@@ -44,14 +53,13 @@ DescentSolver::afterStep(std::size_t sat_calls)
     // step (the measurement baseline, and a debugging aid).
     if (!options.carryLearnts)
         solver->clearLearnts();
-    if (options.inprocess && options.inprocessInterval > 0 &&
-        sat_calls % options.inprocessInterval == 0) {
+    if (options.inprocess && sat_calls % kInprocessInterval == 0) {
         // Difficulty gate: maintenance is only worth its wall-clock
         // once the steps actually produce conflict-driven clauses.
         const std::size_t conflicts =
             solver->portfolioStats().aggregate.conflicts;
         if (conflicts - inprocessedConflicts >=
-            options.inprocessMinConflicts) {
+            kInprocessMinConflicts) {
             solver->inprocess();
             inprocessedConflicts = conflicts;
         }

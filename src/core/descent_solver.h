@@ -83,8 +83,12 @@ enum class DescentTermination
     Cancelled,
 };
 
-/** Options for one descent run. */
-struct DescentOptions
+/**
+ * Options for one descent run. The SAT-engine knobs come from
+ * sat::EngineConfig: the portfolio reads the first four, afterStep()
+ * reads carryLearnts and inprocess.
+ */
+struct DescentOptions : sat::EngineConfig
 {
     /** Keep the power-set algebraic independence clauses. */
     bool algebraicIndependence = true;
@@ -100,85 +104,6 @@ struct DescentOptions
 
     /** Wall-clock budget for the whole descent (seconds). */
     double totalTimeoutSeconds = 300.0;
-
-    /** Threads racing each SAT step (0 = hardware concurrency). */
-    std::size_t threads = 1;
-
-    /**
-     * Diversified solver instances in the portfolio (0 = one per
-     * thread). With more instances than threads the pool
-     * multiplexes them; instance 0 always searches like the plain
-     * solver did.
-     */
-    std::size_t portfolioInstances = 0;
-
-    /**
-     * Fixed winner arbitration (lowest decisive instance index, no
-     * cancellation, no clause sharing): descent results are then
-     * bit-identical for every thread count as long as no step
-     * times out. Racing mode (false) is faster — first decisive
-     * instance wins and cancels the rest, learnt clauses are
-     * shared — but the tie-break between equally-cheap encodings
-     * may differ run to run.
-     */
-    bool deterministic = true;
-
-    /** Simplify the clause database before the first SAT call. */
-    bool preprocess = true;
-
-    /**
-     * Wall-clock cap on that upfront simplification run
-     * (<= 0 = unlimited). Preprocessing pays for itself many times
-     * over during the UNSAT proving rounds, but the paper's
-     * time-to-best clock starts before the first model: without a
-     * cap the simplifier can spend longer on a dense 4^N-clause
-     * instance than the whole improving phase takes.
-     */
-    double preprocessBudgetSeconds = 0.05;
-
-    /**
-     * Skip the upfront pass entirely for instances staged with
-     * more than this many clauses (0 = no ceiling). On
-     * totalizer-dominated instances past a few thousand clauses
-     * the occurrence index alone outweighs the improving phase;
-     * the gated inprocessing recovers the simplification once the
-     * proving rounds make it worthwhile.
-     */
-    std::size_t preprocessMaxClauses = 4000;
-
-    /**
-     * Keep each instance's learnt clauses across the descent's
-     * bound-tightening steps. The totalizer bound only ever
-     * tightens (one permanent unit clause per round), so clauses
-     * learnt at a looser bound remain sound at every tighter one
-     * and the next step starts from everything the last one
-     * derived. Off = Solver::clearLearnts() after every SAT call,
-     * the restart-from-scratch behaviour used to measure what
-     * carry-over buys (DescentResult::satStats counts conflicts).
-     */
-    bool carryLearnts = true;
-
-    /**
-     * Inprocess the clause databases between descent steps
-     * (subsumption + vivification, Solver::inprocess): each
-     * permanent bound unit lets the simplifier strip satisfied
-     * clauses and shorten the totalizer ladder before the next,
-     * harder SAT call.
-     */
-    bool inprocess = true;
-
-    /** Run inprocessing every this-many SAT steps (>= 1). */
-    std::size_t inprocessInterval = 3;
-
-    /**
-     * Skip inprocessing while the search is easy: maintenance only
-     * runs once at least this many conflicts accumulated since the
-     * last one. Early descent steps are often solved almost purely
-     * by propagation, and subsumption+vivification over a database
-     * that produced no learnt clauses is pure overhead on the
-     * time-to-best clock.
-     */
-    std::size_t inprocessMinConflicts = 2000;
 
     /**
      * Cooperative cancellation: when non-null and set, the descent

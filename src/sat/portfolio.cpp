@@ -10,6 +10,30 @@
 
 namespace fermihedral::sat {
 
+namespace {
+
+/**
+ * Skip upfront preprocessing for formulas staged with more than
+ * this many clauses. On totalizer-dominated instances past a few
+ * thousand clauses the occurrence index alone outweighs the
+ * descent's improving phase.
+ */
+constexpr std::size_t kPreprocessMaxClauses = 4000;
+
+/**
+ * Wall-clock cap on the upfront simplification run. The paper's
+ * time-to-best clock starts before the first model; without a cap
+ * the simplifier can spend longer on a dense instance than the
+ * whole improving phase takes.
+ */
+constexpr double kPreprocessBudgetSeconds = 0.05;
+
+/** LBD and length ceilings for clauses shared in racing mode. */
+constexpr std::uint32_t kShareMaxLbd = 2;
+constexpr std::size_t kShareMaxSize = 8;
+
+} // namespace
+
 // --------------------------------------------------------------------
 // ClauseExchange
 // --------------------------------------------------------------------
@@ -133,14 +157,15 @@ PortfolioSolver::instanceConfig(std::size_t index)
 // PortfolioSolver
 // --------------------------------------------------------------------
 
-PortfolioSolver::PortfolioSolver(const PortfolioOptions &options)
-    : options(options),
+PortfolioSolver::PortfolioSolver(const EngineConfig &config)
+    : config(config),
       instanceCount(0),
       threadCount(ThreadPool::resolveThreadCount(
-          static_cast<std::int64_t>(options.threads)))
+          static_cast<std::int64_t>(config.threads)))
 {
-    instanceCount = options.instances > 0 ? options.instances
-                                          : threadCount;
+    instanceCount = config.portfolioInstances > 0
+                        ? config.portfolioInstances
+                        : threadCount;
     require(instanceCount >= 1, "portfolio needs an instance");
 }
 
@@ -276,11 +301,9 @@ PortfolioSolver::build(bool skip_preprocess)
     }
 
     std::vector<std::vector<Lit>> load;
-    const bool under_ceiling =
-        options.preprocessMaxClauses == 0 ||
-        pendingClauses.size() <= options.preprocessMaxClauses;
-    if (options.preprocess && under_ceiling && !skip_preprocess &&
-        !stagedUnsat) {
+    if (config.preprocess &&
+        pendingClauses.size() <= kPreprocessMaxClauses &&
+        !skip_preprocess && !stagedUnsat) {
         simplifier = std::make_unique<Simplifier>(varCount);
         for (const auto &clause : pendingClauses)
             simplifier->addClause(clause);
@@ -288,7 +311,9 @@ PortfolioSolver::build(bool skip_preprocess)
             if (frozenVars[var])
                 simplifier->freeze(static_cast<Var>(var));
         }
-        simplifier->run(options.simplify);
+        SimplifierOptions simplify;
+        simplify.timeBudgetSeconds = kPreprocessBudgetSeconds;
+        simplifier->run(simplify);
         portfolio.simplifier = simplifier->stats();
         if (simplifier->inconsistent())
             topLevelUnsat = true;
@@ -326,11 +351,9 @@ PortfolioSolver::build(bool skip_preprocess)
 
     // Clause sharing only in racing mode: import order is a race,
     // which deterministic arbitration must not observe.
-    if (!options.deterministic && options.shareClauses &&
-        instanceCount > 1) {
+    if (!config.deterministic && instanceCount > 1) {
         exchange = std::make_unique<ClauseExchange>(
-            instanceCount, options.shareMaxLbd,
-            options.shareMaxSize);
+            instanceCount, kShareMaxLbd, kShareMaxSize);
         for (std::size_t i = 0; i < instanceCount; ++i)
             instances[i]->connectExchange(exchange.get(), i);
     }
@@ -340,13 +363,6 @@ PortfolioSolver::build(bool skip_preprocess)
     pendingPolarity.clear();
     pendingActivity.clear();
     built = true;
-}
-
-void
-PortfolioSolver::prepare()
-{
-    if (!built)
-        build(/*skip_preprocess=*/false);
 }
 
 bool
@@ -359,7 +375,7 @@ PortfolioSolver::inprocess()
     // out over the pool cannot perturb deterministic arbitration.
     telemetry::TraceSpan span("portfolio.inprocess");
     pool->forEach(instanceCount, [&](std::size_t i) {
-        instances[i]->inprocess(options.inprocess);
+        instances[i]->inprocess();
     });
     return !inconsistent();
 }
@@ -382,7 +398,7 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
     telemetry::TraceSpan span("portfolio.solve");
     if (span.active()) {
         span.arg("instances", instanceCount);
-        span.arg("racing", !options.deterministic);
+        span.arg("racing", !config.deterministic);
     }
     ++portfolio.solves;
     if (topLevelUnsat) {
@@ -411,7 +427,7 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
         // relayed into it by a polling watcher.
         std::atomic<bool> watcher_done{false};
         std::thread watcher;
-        if (!options.deterministic && budget.stopFlag) {
+        if (!config.deterministic && budget.stopFlag) {
             watcher = std::thread([&] {
                 while (!watcher_done.load(
                     std::memory_order_relaxed)) {
@@ -435,7 +451,7 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
             if (instance_span.active())
                 instance_span.arg("instance", i);
             Budget local = budget;
-            if (!options.deterministic)
+            if (!config.deterministic)
                 local.stopFlag = &stop;
             // The wall budget bounds this solve() call, not each
             // instance: with fewer threads than instances the
@@ -473,7 +489,7 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
             // the winner: bit-identity across thread counts holds
             // precisely because every instance's trajectory is
             // schedule-independent.
-            if (options.deterministic)
+            if (config.deterministic)
                 return;
             int expected = -1;
             if (first_decisive.compare_exchange_strong(
@@ -487,7 +503,7 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
             watcher.join();
         }
 
-        if (options.deterministic) {
+        if (config.deterministic) {
             // Fixed arbitration: the decisive instance with the
             // lowest index wins, making the outcome (and model) a
             // pure function of the call sequence and budgets.

@@ -29,16 +29,18 @@
  *    across the portfolio and with the caller.
  *  - Preprocessing runs once, on the first solve() call, and only
  *    when that call has no assumptions (incremental assumptions
- *    present => preprocessing is skipped entirely). Frozen
- *    variables survive it; clauses and assumptions arriving after
- *    the first solve must mention only frozen or surviving
- *    variables (enforced).
+ *    present => preprocessing is skipped entirely) and when the
+ *    staged formula is small enough to pay for it (the size
+ *    ceiling and wall-clock cap are constants in portfolio.cpp).
+ *    Frozen variables survive it; clauses and assumptions
+ *    arriving after the first solve must mention only frozen or
+ *    surviving variables (enforced).
  *  - After Sat, modelValue() is defined for every variable: the
  *    winner's model is extended over eliminated variables with the
  *    simplifier's witness stack before it is published.
- *  - With instances = 1, deterministic = true and preprocessing
- *    off, solve behaviour is bit-identical to a plain Solver fed
- *    the same calls.
+ *  - With portfolioInstances = 1, deterministic = true and
+ *    preprocessing off, solve behaviour is bit-identical to a
+ *    plain Solver fed the same calls.
  *  - Budget.maxSeconds bounds the whole solve() call's wall
  *    clock, not each instance: with fewer threads than instances
  *    the stragglers only get whatever the earlier finishers left
@@ -55,6 +57,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "sat/engine_config.h"
 #include "sat/preprocess.h"
 #include "sat/solver.h"
 #include "sat/solver_base.h"
@@ -118,52 +121,6 @@ class ClauseExchange
     std::vector<std::size_t> cursors;
 };
 
-/** Configuration of a PortfolioSolver. */
-struct PortfolioOptions
-{
-    /**
-     * Number of diversified solver instances (0 selects the
-     * resolved thread count). Instance 0 always runs the default
-     * SolverConfig, so a 1-instance portfolio searches exactly like
-     * a plain Solver.
-     */
-    std::size_t instances = 0;
-
-    /** Threads racing the instances (0 = hardware concurrency). */
-    std::size_t threads = 1;
-
-    /** Fixed lowest-decisive-index arbitration (see file docs). */
-    bool deterministic = true;
-
-    /** Simplify the clause database before the first solve. */
-    bool preprocess = true;
-
-    /** Simplifier effort limits. */
-    SimplifierOptions simplify;
-
-    /**
-     * Skip preprocessing for instances staged with more than this
-     * many clauses (0 = no ceiling). Building the occurrence index
-     * and running the resolvent checks scales with the database
-     * size, so past some density the upfront pass costs more than
-     * it saves; inprocessing can still simplify later, once the
-     * search has shown the instance is actually hard.
-     */
-    std::size_t preprocessMaxClauses = 0;
-
-    /** Exchange learnt clauses (racing mode only). */
-    bool shareClauses = true;
-
-    /** Effort limits forwarded to inprocess() calls. */
-    InprocessOptions inprocess;
-
-    /** LBD ceiling for shared clauses. */
-    std::uint32_t shareMaxLbd = 2;
-
-    /** Length ceiling for shared clauses. */
-    std::size_t shareMaxSize = 8;
-};
-
 /** Counters describing the portfolio's work so far. */
 struct PortfolioStats
 {
@@ -192,7 +149,11 @@ struct PortfolioStats
 class PortfolioSolver final : public SolverBase
 {
   public:
-    explicit PortfolioSolver(const PortfolioOptions &options = {});
+    /**
+     * Reads config.threads, portfolioInstances, deterministic and
+     * preprocess; the descent-level fields are ignored here.
+     */
+    explicit PortfolioSolver(const EngineConfig &config = {});
     ~PortfolioSolver() override;
 
     Var newVar() override;
@@ -206,18 +167,11 @@ class PortfolioSolver final : public SolverBase
                       const Budget &budget = {}) override;
 
     /**
-     * Force the build (preprocessing + instance construction) now
-     * instead of on the first solve(). Lets instrumentation read
-     * portfolioStats().simplifier without solving anything.
-     */
-    void prepare();
-
-    /**
      * Inprocess every instance's clause database between solve()
-     * calls (Solver::inprocess with options.inprocess limits).
-     * Returns false when any instance refuted the formula. Runs in
-     * parallel over the pool; instance order and results stay
-     * deterministic (each instance's trajectory is independent).
+     * calls (Solver::inprocess). Returns false when any instance
+     * refuted the formula. Runs in parallel over the pool;
+     * instance order and results stay deterministic (each
+     * instance's trajectory is independent).
      */
     bool inprocess();
 
@@ -253,7 +207,7 @@ class PortfolioSolver final : public SolverBase
     static SolverConfig instanceConfig(std::size_t index);
 
   private:
-    PortfolioOptions options;
+    EngineConfig config;
     std::size_t instanceCount;
     std::size_t threadCount;
 

@@ -8,6 +8,19 @@
 
 namespace fermihedral::sat {
 
+namespace {
+
+/**
+ * Skip BVE for variables occurring (both phases combined) more
+ * often than this: the resolvent check would be quadratic.
+ */
+constexpr std::size_t kEliminationOccurrenceLimit = 24;
+
+/** Resolvents longer than this block their elimination. */
+constexpr std::size_t kEliminationClauseLimit = 8;
+
+} // namespace
+
 Simplifier::Simplifier(std::size_t num_vars)
     : occurrences(2 * num_vars), values(num_vars, LBool::Undef),
       frozen(num_vars, 0), eliminated(num_vars, 0)
@@ -259,7 +272,7 @@ Simplifier::strengthenClause(std::size_t index, Lit lit)
 }
 
 bool
-Simplifier::subsumptionPass(const SimplifierOptions &options)
+Simplifier::subsumptionPass()
 {
     while (!subsumptionQueue.empty()) {
         if (!propagateUnits())
@@ -273,56 +286,49 @@ Simplifier::subsumptionPass(const SimplifierOptions &options)
         queued[index] = 0;
         if (clauses[index].removed)
             continue;
-        if (!options.subsumption && !options.selfSubsumption)
-            continue; // drain only
         const std::vector<Lit> lits = clauses[index].lits;
         const std::uint64_t signature = clauses[index].signature;
 
         // Scan the occurrence list of the rarest literal: every
         // clause containing all of `lits` must appear there.
-        if (options.subsumption) {
-            Lit best = lits[0];
-            for (const Lit lit : lits) {
-                if (occurrences[lit.code].size() <
-                    occurrences[best.code].size())
-                    best = lit;
+        Lit best = lits[0];
+        for (const Lit lit : lits) {
+            if (occurrences[lit.code].size() <
+                occurrences[best.code].size())
+                best = lit;
+        }
+        for (const std::size_t other : occurrences[best.code]) {
+            if (other == index || clauses[other].removed)
+                continue;
+            const auto &cand = clauses[other];
+            if (cand.lits.size() < lits.size() ||
+                (signature & ~cand.signature) != 0)
+                continue;
+            if (subsetWithFlip(lits, cand.lits, litUndef)) {
+                removeClauseAt(other);
+                ++statistics.subsumedClauses;
             }
-            for (const std::size_t other :
-                 occurrences[best.code]) {
+        }
+
+        // Self-subsuming resolution: D ⊇ (C \ {l}) ∪ {~l} lets the
+        // resolvent C⊗D replace D, i.e.\ ~l is removed from D.
+        for (const Lit lit : lits) {
+            if (clauses[index].removed)
+                break;
+            // detachLiteral edits this list, so walk a copy.
+            const std::vector<std::size_t> candidates =
+                occurrences[(~lit).code];
+            for (const std::size_t other : candidates) {
                 if (other == index || clauses[other].removed)
                     continue;
                 const auto &cand = clauses[other];
                 if (cand.lits.size() < lits.size() ||
                     (signature & ~cand.signature) != 0)
                     continue;
-                if (subsetWithFlip(lits, cand.lits, litUndef)) {
-                    removeClauseAt(other);
-                    ++statistics.subsumedClauses;
-                }
-            }
-        }
-
-        // Self-subsuming resolution: D ⊇ (C \ {l}) ∪ {~l} lets the
-        // resolvent C⊗D replace D, i.e.\ ~l is removed from D.
-        if (options.selfSubsumption) {
-            for (const Lit lit : lits) {
-                if (clauses[index].removed)
-                    break;
-                // detachLiteral edits this list, so walk a copy.
-                const std::vector<std::size_t> candidates =
-                    occurrences[(~lit).code];
-                for (const std::size_t other : candidates) {
-                    if (other == index || clauses[other].removed)
-                        continue;
-                    const auto &cand = clauses[other];
-                    if (cand.lits.size() < lits.size() ||
-                        (signature & ~cand.signature) != 0)
-                        continue;
-                    if (!subsetWithFlip(lits, cand.lits, lit))
-                        continue;
-                    if (!strengthenClause(other, ~lit))
-                        return false;
-                }
+                if (!subsetWithFlip(lits, cand.lits, lit))
+                    continue;
+                if (!strengthenClause(other, ~lit))
+                    return false;
             }
         }
     }
@@ -361,7 +367,7 @@ Simplifier::resolve(const std::vector<Lit> &pos,
 }
 
 bool
-Simplifier::tryEliminate(Var var, const SimplifierOptions &options)
+Simplifier::tryEliminate(Var var)
 {
     if (frozen[var] || eliminated[var] ||
         values[var] != LBool::Undef) {
@@ -378,11 +384,11 @@ Simplifier::tryEliminate(Var var, const SimplifierOptions &options)
             neg.push_back(index);
     }
     const std::size_t before = pos.size() + neg.size();
-    if (before > options.eliminationOccurrenceLimit)
+    if (before > kEliminationOccurrenceLimit)
         return false;
 
     // Bounded check: elimination may not grow the clause database
-    // nor create clauses longer than the configured limit.
+    // nor create clauses longer than kEliminationClauseLimit.
     std::vector<std::vector<Lit>> resolvents;
     std::vector<Lit> resolvent;
     for (const std::size_t p : pos) {
@@ -391,7 +397,7 @@ Simplifier::tryEliminate(Var var, const SimplifierOptions &options)
                          resolvent))
                 continue; // tautology
             if (resolvent.empty() ||
-                resolvent.size() > options.eliminationClauseLimit)
+                resolvent.size() > kEliminationClauseLimit)
                 return false;
             resolvents.push_back(resolvent);
             if (resolvents.size() > before)
@@ -424,8 +430,7 @@ Simplifier::tryEliminate(Var var, const SimplifierOptions &options)
 }
 
 bool
-Simplifier::eliminationPass(const SimplifierOptions &options,
-                            bool &changed)
+Simplifier::eliminationPass(bool &changed)
 {
     // Cheap variables first: elimination order matters, and low
     // occurrence counts are both the likeliest wins and the
@@ -449,7 +454,7 @@ Simplifier::eliminationPass(const SimplifierOptions &options,
         const Lit lit = mkLit(var);
         const std::size_t count =
             live_count(lit) + live_count(~lit);
-        if (count <= options.eliminationOccurrenceLimit)
+        if (count <= kEliminationOccurrenceLimit)
             candidates.emplace_back(count, var);
     }
     std::sort(candidates.begin(), candidates.end());
@@ -458,7 +463,7 @@ Simplifier::eliminationPass(const SimplifierOptions &options,
             return false;
         if (pollBudget())
             break;
-        if (tryEliminate(var, options))
+        if (tryEliminate(var))
             changed = true;
         if (contradiction)
             return false;
@@ -481,11 +486,10 @@ Simplifier::run(const SimplifierOptions &options)
             break;
         if (!propagateUnits())
             break;
-        if (!subsumptionPass(options))
+        if (!subsumptionPass())
             break;
         bool changed = false;
-        if (options.variableElimination &&
-            !eliminationPass(options, changed))
+        if (options.variableElimination && !eliminationPass(changed))
             break;
         ++statistics.rounds;
         if (!changed && subsumptionQueue.empty() &&
@@ -494,7 +498,7 @@ Simplifier::run(const SimplifierOptions &options)
     }
     if (!contradiction) {
         propagateUnits();
-        subsumptionPass(options);
+        subsumptionPass();
     }
 
     statistics.seconds = run_timer.seconds();

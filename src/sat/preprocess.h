@@ -54,23 +54,11 @@ namespace fermihedral::sat {
 /** Effort limits for one simplification run. */
 struct SimplifierOptions
 {
-    /** Remove clauses subsumed by another clause. */
-    bool subsumption = true;
-
-    /** Strengthen clauses by self-subsuming resolution. */
-    bool selfSubsumption = true;
-
-    /** Run bounded variable elimination. */
-    bool variableElimination = true;
-
     /**
-     * Skip BVE for variables occurring (both phases combined) more
-     * often than this: the resolvent check would be quadratic.
+     * Run bounded variable elimination. Subsumption and
+     * self-subsuming resolution always run.
      */
-    std::size_t eliminationOccurrenceLimit = 24;
-
-    /** Resolvents longer than this block their elimination. */
-    std::size_t eliminationClauseLimit = 8;
+    bool variableElimination = true;
 
     /** Maximum subsumption+elimination rounds before settling. */
     std::size_t maxRounds = 8;
@@ -198,11 +186,10 @@ class Simplifier
     void detachLiteral(std::size_t index, Lit lit);
     bool insertClause(std::vector<Lit> lits);
     bool propagateUnits();
-    bool subsumptionPass(const SimplifierOptions &options);
+    bool subsumptionPass();
     bool strengthenClause(std::size_t index, Lit lit);
-    bool eliminationPass(const SimplifierOptions &options,
-                         bool &changed);
-    bool tryEliminate(Var var, const SimplifierOptions &options);
+    bool eliminationPass(bool &changed);
+    bool tryEliminate(Var var);
     static bool resolve(const std::vector<Lit> &pos,
                         const std::vector<Lit> &neg, Var var,
                         std::vector<Lit> &out);

@@ -552,8 +552,18 @@ Solver::subsumptionPass()
     return true;
 }
 
+namespace {
+
+/** Propagation budget for one vivification pass. */
+constexpr std::uint64_t kVivifyPropagationLimit = 500000;
+
+/** Clauses shorter than this are not worth vivifying. */
+constexpr std::uint32_t kVivifyMinSize = 3;
+
+} // namespace
+
 bool
-Solver::vivifyPass(const InprocessOptions &options)
+Solver::vivifyPass()
 {
     const std::uint64_t start = statistics.propagations;
     std::vector<Lit> kept;
@@ -562,10 +572,9 @@ Solver::vivifyPass(const InprocessOptions &options)
     // live list. Refs stay valid (no collection inside the loop).
     const std::vector<ClauseRef> todo = problemClauses;
     for (const ClauseRef ref : todo) {
-        if (statistics.propagations - start >
-            options.vivifyPropagationLimit)
+        if (statistics.propagations - start > kVivifyPropagationLimit)
             break;
-        if (arena.size(ref) < options.vivifyMinSize ||
+        if (arena.size(ref) < kVivifyMinSize ||
             clauseLocked(ref))
             continue;
 
@@ -623,7 +632,7 @@ Solver::vivifyPass(const InprocessOptions &options)
 }
 
 bool
-Solver::inprocess(const InprocessOptions &options)
+Solver::inprocess()
 {
     require(decisionLevel() == 0,
             "inprocess may only run between solve() calls");
@@ -638,11 +647,7 @@ Solver::inprocess(const InprocessOptions &options)
     const std::uint64_t subsumed_before = statistics.inprocessSubsumed;
     const std::uint64_t vivified_before = statistics.vivifiedClauses;
     detachLevelZeroReasons();
-    if (options.subsumption && !subsumptionPass()) {
-        maybeCheck();
-        return false;
-    }
-    if (options.vivification && !vivifyPass(options)) {
+    if (!subsumptionPass() || !vivifyPass()) {
         maybeCheck();
         return false;
     }

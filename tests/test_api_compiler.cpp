@@ -145,6 +145,32 @@ TEST(Compiler, SatStrategyFindsTheProvedOptimum)
     EXPECT_EQ(result.cost, result.encoding.totalWeight());
 }
 
+TEST(Compiler, RequestEngineConfigReachesTheDescent)
+{
+    // The request's sat::EngineConfig fields are handed to the
+    // descent in one assignment; carryLearnts is read only by the
+    // descent itself, so it shows whether that hand-off happened.
+    // Carry-over changes the search work, never the answer.
+    auto compileWithCarry = [](bool carry) {
+        CompilationRequest request = fastRequest(4, "sat");
+        request.stepTimeoutSeconds = 120.0;
+        request.totalTimeoutSeconds = 600.0;
+        request.carryLearnts = carry;
+        std::uint64_t conflicts = 0;
+        request.progress = [&](const core::DescentProgress &p) {
+            conflicts = p.conflicts;
+        };
+        const auto result = Compiler().compile(request);
+        return std::make_pair(result, conflicts);
+    };
+    const auto [kept, kept_conflicts] = compileWithCarry(true);
+    const auto [cleared, cleared_conflicts] = compileWithCarry(false);
+    EXPECT_EQ(kept.cost, cleared.cost);
+    EXPECT_TRUE(kept.provedOptimal);
+    EXPECT_EQ(kept.provedOptimal, cleared.provedOptimal);
+    EXPECT_NE(kept_conflicts, cleared_conflicts);
+}
+
 TEST(Compiler, HamiltonianRequestMapsAndGroups)
 {
     const auto h = fermion::fermiHubbard1D(2, 1.0, 4.0);
@@ -245,6 +271,16 @@ TEST(CompilerService, CanonicalKeySeparatesSpecsNotBudgets)
     budget.threads = 4;
     EXPECT_EQ(CompilerService::canonicalRequestKey(base),
               CompilerService::canonicalRequestKey(budget));
+
+    // No sat::EngineConfig field is part of the identity either.
+    auto engine = base;
+    engine.portfolioInstances = 3;
+    engine.deterministic = false;
+    engine.preprocess = false;
+    engine.carryLearnts = false;
+    engine.inprocess = false;
+    EXPECT_EQ(CompilerService::canonicalRequestKey(base),
+              CompilerService::canonicalRequestKey(engine));
 
     auto other_modes = base;
     other_modes.modes = 4;

@@ -21,15 +21,15 @@
 namespace fermihedral::sat {
 namespace {
 
-PortfolioOptions
+EngineConfig
 withInstances(std::size_t instances, std::size_t threads,
               bool deterministic = true)
 {
-    PortfolioOptions options;
-    options.instances = instances;
-    options.threads = threads;
-    options.deterministic = deterministic;
-    return options;
+    EngineConfig config;
+    config.portfolioInstances = instances;
+    config.threads = threads;
+    config.deterministic = deterministic;
+    return config;
 }
 
 /** Random 3-SAT clauses over `num_vars` fresh solver variables. */
@@ -141,9 +141,9 @@ TEST(PortfolioSolver, InstanceZeroMatchesPlainSolver)
     Rng rng(314);
     for (int round = 0; round < 10; ++round) {
         Solver plain;
-        PortfolioOptions options = withInstances(1, 1);
-        options.preprocess = false;
-        PortfolioSolver portfolio(options);
+        EngineConfig config = withInstances(1, 1);
+        config.preprocess = false;
+        PortfolioSolver portfolio(config);
         Rng plain_rng = rng.fork(round);
         Rng portfolio_rng = rng.fork(round);
         const auto cnf_a = randomCnf(plain, 14, 58, plain_rng);

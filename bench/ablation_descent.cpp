@@ -25,6 +25,7 @@ main(int argc, char **argv)
         flags.addDouble("timeout", 20.0, "budget per run (s)");
     bench::EngineFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

@@ -54,8 +54,9 @@ struct EngineFlags
             "portfolio instances (0 = one per thread)");
         engine.racing = flags.addBool(
             "racing", false,
-            "first-finisher-wins arbitration with clause sharing "
-            "(faster, but winner may vary run to run)");
+            "first-finisher-wins arbitration: the first decisive "
+            "instance cancels the rest (winner may vary run to "
+            "run)");
         engine.preprocess = flags.addBool(
             "preprocess", true,
             "simplify the clause database before solving");
@@ -146,13 +147,33 @@ progressPrinter()
     };
 }
 
+/** The --progress value registered by addProgressFlag(), if any. */
+inline const bool *&
+progressFlag()
+{
+    static const bool *registered = nullptr;
+    return registered;
+}
+
+/**
+ * Register --progress. Only binaries whose descents go through
+ * descentOptions(), compilationRequest() or applyProgressFlag()
+ * register it, since only those attach the observer.
+ */
+inline void
+addProgressFlag(FlagSet &flags)
+{
+    progressFlag() = flags.addBool(
+        "progress", false,
+        "print per-bound descent progress to stderr");
+}
+
 /** Attach the --progress observer when the flag asked for one. */
 template <typename OptionsOrRequest>
 inline void
 applyProgressFlag(OptionsOrRequest &target)
 {
-    const auto *flags = telemetry::TelemetryFlags::active();
-    if (flags && flags->progressRequested())
+    if (progressFlag() && *progressFlag())
         target.progress = progressPrinter();
 }
 

@@ -97,6 +97,7 @@ main(int argc, char **argv)
         flags.addDouble("timeout", 30.0, "SAT budget per mode (s)");
     bench::EngineFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

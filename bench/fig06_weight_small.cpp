@@ -27,6 +27,7 @@ main(int argc, char **argv)
         flags.addDouble("timeout", 60.0, "budget per mode count (s)");
     bench::EngineFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

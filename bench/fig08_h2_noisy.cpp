@@ -38,6 +38,7 @@ main(int argc, char **argv)
         flags.addInt("threads", 0, "shot-runner threads (0 = "
                                    "hardware concurrency)");
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

@@ -38,6 +38,7 @@ main(int argc, char **argv)
                                    "hardware concurrency)");
     const auto topo_flags = hw::TopologyFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

@@ -93,7 +93,6 @@ appendRunJson(std::string &json, const char *label,
         .member("propagations", s.aggregate.propagations)
         .member("conflicts", s.aggregate.conflicts)
         .member("learnt_literals", s.aggregate.learntLiterals)
-        .member("shared_out", s.aggregate.sharedOut)
         .member("eliminated_vars",
                 s.simplifier.eliminatedVariables)
         .member("subsumed", s.simplifier.subsumedClauses)
@@ -133,6 +132,7 @@ main(int argc, char **argv)
     const auto *json_path = flags.addString(
         "json", "", "write run statistics to this JSON file");
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

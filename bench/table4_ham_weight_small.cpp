@@ -70,6 +70,7 @@ main(int argc, char **argv)
     const auto *deadline = bench::addDeadlineFlag(flags);
     hw::TopologyFlags::add(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

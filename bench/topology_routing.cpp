@@ -104,6 +104,7 @@ main(int argc, char **argv)
     const auto engine = bench::EngineFlags::add(flags);
     const auto *deadline = bench::addDeadlineFlag(flags);
     const auto tflags = telemetry::TelemetryFlags::add(flags);
+    bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();

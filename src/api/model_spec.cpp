@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "api/strategy_registry.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "fermion/models.h"
@@ -244,6 +245,10 @@ expandModelRanges(const std::string &model)
 std::optional<CompilationRequest>
 tryBuildRequest(const RequestSpec &spec, std::string *error)
 {
+    if (!strategyRegistered(spec.strategy)) {
+        failSpec(error, unknownStrategyMessage(spec.strategy));
+        return std::nullopt;
+    }
     CompilationRequest request;
     if (!applyModelSpec(spec.problem, request, error))
         return std::nullopt;

@@ -580,14 +580,19 @@ makeStrategy(const std::string &name)
         if (it != r.factories.end())
             factory = it->second;
     }
-    if (!factory) {
-        const auto names = registeredStrategyNames();
-        if (const auto nearest = suggestNearest(name, names))
-            fatal("unknown encoding strategy '", name,
-                  "' (did you mean '", *nearest, "'?)");
-        fatal("unknown encoding strategy '", name, "'");
-    }
+    if (!factory)
+        fatal(unknownStrategyMessage(name));
     return factory();
+}
+
+std::string
+unknownStrategyMessage(const std::string &name)
+{
+    std::string message = "unknown encoding strategy '" + name + "'";
+    if (const auto nearest =
+            suggestNearest(name, registeredStrategyNames()))
+        message += " (did you mean '" + *nearest + "'?)";
+    return message;
 }
 
 std::vector<std::string>

@@ -76,11 +76,17 @@ void registerStrategy(const std::string &name,
 bool strategyRegistered(const std::string &name);
 
 /**
- * Instantiate the named strategy. Unknown names are fatal, with a
- * nearest-name suggestion when one is within edit distance 2.
+ * Instantiate the named strategy. Unknown names are fatal, with
+ * unknownStrategyMessage() as the diagnostic.
  */
 std::unique_ptr<EncodingStrategy> makeStrategy(
     const std::string &name);
+
+/**
+ * The diagnostic for an unregistered strategy name, with a
+ * nearest-name suggestion when one is within edit distance 2.
+ */
+std::string unknownStrategyMessage(const std::string &name);
 
 /** All registered names, sorted. */
 std::vector<std::string> registeredStrategyNames();

@@ -1,9 +1,10 @@
 /**
  * @file
  * The shared observability flags: every bench/example binary
- * registers --metrics-json, --trace and --progress with one
- * TelemetryFlags::add(flags) call (same overlay pattern as
- * bench::EngineFlags). After FlagSet::parse, arm() switches the
+ * registers --metrics-json and --trace with one
+ * TelemetryFlags::add(flags) call. (--progress is a descent
+ * observer, registered only by the benches that run descents:
+ * bench::addProgressFlag.) After FlagSet::parse, arm() switches the
  * global TraceRecorder on when --trace was given; report() at the
  * end of main serializes the metrics registry and the Chrome trace
  * to the requested files.
@@ -33,7 +34,6 @@ struct TelemetryFlags
 {
     const std::string *metricsJson = nullptr;
     const std::string *trace = nullptr;
-    const bool *progress = nullptr;
 
     static TelemetryFlags
     add(FlagSet &flags)
@@ -47,10 +47,6 @@ struct TelemetryFlags
             "trace", "",
             "record trace spans and write Chrome trace_event JSON "
             "(Perfetto / chrome://tracing) to this file at exit");
-        telemetry.progress = flags.addBool(
-            "progress", false,
-            "print per-bound descent progress to stderr");
-        storage() = telemetry;
         return telemetry;
     }
 
@@ -89,28 +85,6 @@ struct TelemetryFlags
             }
         }
         return ok;
-    }
-
-    /** True when --progress was requested on an armed overlay. */
-    bool
-    progressRequested() const
-    {
-        return progress && *progress;
-    }
-
-    /** The overlay armed by add(), if any (one per binary). */
-    static const TelemetryFlags *
-    active()
-    {
-        return storage().metricsJson ? &storage() : nullptr;
-    }
-
-  private:
-    static TelemetryFlags &
-    storage()
-    {
-        static TelemetryFlags registered;
-        return registered;
     }
 };
 

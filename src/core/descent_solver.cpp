@@ -118,10 +118,7 @@ DescentSolver::solve()
             start_cost = seed_cost;
         }
     }
-    const std::size_t w0 =
-        options.initialBound.value_or(start_cost);
-
-    // The starting encoding is itself feasible at cost w0, so the
+    // The starting encoding is itself feasible at start_cost, so the
     // descent can begin by asking for strictly less.
     result.encoding = start;
     result.cost = start_cost;
@@ -158,7 +155,7 @@ DescentSolver::solve()
         options.algebraicIndependence;
     model_options.vacuumPreservation = options.vacuumPreservation;
     model_options.hamiltonianStructure = structure;
-    model_options.costCap = std::max<std::size_t>(w0, 1);
+    model_options.costCap = std::max<std::size_t>(start_cost, 1);
     model = std::make_unique<EncodingModel>(*solver, model_options);
     if (options.warmStart)
         model->warmStart(start);
@@ -168,7 +165,7 @@ DescentSolver::solve()
 
     // Descent loop (Algorithm 1): each round permanently bounds the
     // cost one below the best known solution.
-    std::size_t best = std::min(w0, start_cost);
+    std::size_t best = start_cost;
     auto &step_seconds = telemetry::MetricsRegistry::global()
                              .histogram("descent.step_seconds");
     Timer solve_timer;

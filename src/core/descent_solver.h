@@ -116,9 +116,6 @@ struct DescentOptions : sat::EngineConfig
      */
     const std::atomic<bool> *stopFlag = nullptr;
 
-    /** Override the initial bound (default: Bravyi-Kitaev cost). */
-    std::optional<std::size_t> initialBound;
-
     /**
      * Extra starting candidate (e.g.\ a SAT+Anl. solution for the
      * Hamiltonian-dependent search). Used as warm start and initial

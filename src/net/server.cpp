@@ -1,11 +1,9 @@
 #include "net/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <unistd.h>
 
 #include "api/serialize.h"
-#include "api/strategy_registry.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "net/socket.h"
@@ -148,16 +146,6 @@ EncodingServer::startCompile(std::uint64_t conn_id,
     if (!request) {
         state.conn.completeCompile(id, api::ResultStatus::Error,
                                    error, "");
-        return;
-    }
-    // Unknown strategy names are fatal inside submit(); over the
-    // wire they must come back as a typed Error result instead.
-    const auto known = api::registeredStrategyNames();
-    if (std::find(known.begin(), known.end(), request->strategy) ==
-        known.end()) {
-        state.conn.completeCompile(
-            id, api::ResultStatus::Error,
-            "unknown strategy '" + request->strategy + "'", "");
         return;
     }
     cancelTokens.emplace(std::make_pair(conn_id, id),

@@ -13,9 +13,9 @@
  *    between the descent's bound-tightening steps.
  *
  * Every other engine effort limit (preprocessing budget and size
- * ceiling, inprocessing cadence, clause-sharing ceilings,
- * vivification limits) has exactly one value and lives as a named
- * constant next to the code that reads it.
+ * ceiling, inprocessing cadence, vivification limits) has exactly
+ * one value and lives as a named constant next to the code that
+ * reads it.
  *
  * Key invariants:
  *  - The defaults reproduce the descent's search bit for bit:
@@ -53,12 +53,11 @@ struct EngineConfig
 
     /**
      * Fixed winner arbitration (lowest decisive instance index, no
-     * cancellation, no clause sharing): results are then
-     * bit-identical for every thread count as long as no budget
-     * binds. Racing mode (false) is faster — the first decisive
-     * instance wins and cancels the rest, learnt clauses are
-     * shared — but the tie-break between equally good models may
-     * differ run to run.
+     * cancellation): results are then bit-identical for every
+     * thread count as long as no budget binds. Racing mode (false)
+     * stops at the first decisive instance and cancels the rest,
+     * so the tie-break between equally good models may differ run
+     * to run. In neither mode do instances share learnt clauses.
      */
     bool deterministic = true;
 

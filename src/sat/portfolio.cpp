@@ -1,6 +1,7 @@
 #include "sat/portfolio.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -28,88 +29,7 @@ constexpr std::size_t kPreprocessMaxClauses = 4000;
  */
 constexpr double kPreprocessBudgetSeconds = 0.05;
 
-/** LBD and length ceilings for clauses shared in racing mode. */
-constexpr std::uint32_t kShareMaxLbd = 2;
-constexpr std::size_t kShareMaxSize = 8;
-
 } // namespace
-
-// --------------------------------------------------------------------
-// ClauseExchange
-// --------------------------------------------------------------------
-
-ClauseExchange::ClauseExchange(std::size_t instances,
-                               std::uint32_t max_lbd,
-                               std::size_t max_size)
-    : lbdLimit(max_lbd), sizeLimit(max_size), cursors(instances, 0)
-{
-}
-
-void
-ClauseExchange::publish(std::size_t from,
-                        std::span<const Lit> literals,
-                        std::uint32_t lbd)
-{
-    // The ceilings are enforced here, not just at the call site:
-    // a flood of long or high-LBD clauses would bloat every other
-    // instance's database at each restart.
-    if (literals.empty() || literals.size() > sizeLimit ||
-        (literals.size() > 1 && lbd > lbdLimit)) {
-        return;
-    }
-    const std::lock_guard<std::mutex> guard(mutex);
-    // Bound the log even when an instance stalls between restarts
-    // (late geometric intervals can span most of a solve, freezing
-    // its cursor). Sharing is best-effort: dropping the oldest
-    // half only costs stragglers clauses they were slowest to
-    // fetch.
-    constexpr std::size_t maxLogEntries = 1 << 14;
-    if (log.size() >= maxLogEntries) {
-        const std::size_t drop = log.size() / 2;
-        log.erase(log.begin(),
-                  log.begin() + static_cast<std::ptrdiff_t>(drop));
-        totalPruned += drop;
-        for (std::size_t &cursor : cursors)
-            cursor = cursor > drop ? cursor - drop : 0;
-    }
-    log.push_back(Entry{
-        from,
-        SharedClause{
-            std::vector<Lit>(literals.begin(), literals.end()),
-            lbd}});
-}
-
-void
-ClauseExchange::collect(std::size_t instance,
-                        std::vector<SharedClause> &out)
-{
-    const std::lock_guard<std::mutex> guard(mutex);
-    std::size_t &cursor = cursors[instance];
-    for (; cursor < log.size(); ++cursor) {
-        if (log[cursor].from != instance)
-            out.push_back(log[cursor].clause);
-    }
-    // Prune the prefix every cursor has passed: without this the
-    // append-only log grows for the lifetime of an incremental
-    // descent. Cursors are offsets into `log`, so shift them too.
-    const std::size_t consumed =
-        *std::min_element(cursors.begin(), cursors.end());
-    if (consumed > 0) {
-        log.erase(log.begin(),
-                  log.begin() +
-                      static_cast<std::ptrdiff_t>(consumed));
-        totalPruned += consumed;
-        for (std::size_t &c : cursors)
-            c -= consumed;
-    }
-}
-
-std::uint64_t
-ClauseExchange::published() const
-{
-    const std::lock_guard<std::mutex> guard(mutex);
-    return totalPruned + log.size();
-}
 
 // --------------------------------------------------------------------
 // Diversification
@@ -243,9 +163,9 @@ PortfolioSolver::addClause(std::span<const Lit> literals)
         return !stagedUnsat;
     }
     checkIncrementalLits(literals);
-    // Instances hold the same problem clauses but may have adopted
-    // different shared units, so level-0 unsatisfiability can
-    // surface in any one of them first.
+    // Instances hold the same problem clauses but have learnt
+    // different units, so level-0 unsatisfiability can surface in
+    // any one of them first.
     bool result = true;
     for (auto &instance : instances)
         result = instance->addClause(literals) && result;
@@ -326,10 +246,10 @@ PortfolioSolver::build(bool skip_preprocess)
         pendingClauses.clear();
     }
 
-    // Instances are independent until the exchange connects them,
-    // so construction and clause loading fan out over the pool —
-    // loading a large instance N times serially would multiply
-    // the first solve's construction wall-clock by N.
+    // Instances are independent, so construction and clause
+    // loading fan out over the pool — loading a large instance N
+    // times serially would multiply the first solve's construction
+    // wall-clock by N.
     pool = std::make_unique<ThreadPool>(
         std::min(threadCount, instanceCount));
     instances.resize(instanceCount);
@@ -348,15 +268,6 @@ PortfolioSolver::build(bool skip_preprocess)
         }
         instances[i] = std::move(instance);
     });
-
-    // Clause sharing only in racing mode: import order is a race,
-    // which deterministic arbitration must not observe.
-    if (!config.deterministic && instanceCount > 1) {
-        exchange = std::make_unique<ClauseExchange>(
-            instanceCount, kShareMaxLbd, kShareMaxSize);
-        for (std::size_t i = 0; i < instanceCount; ++i)
-            instances[i]->connectExchange(exchange.get(), i);
-    }
 
     pendingClauses.clear();
     pendingClauses.shrink_to_fit();

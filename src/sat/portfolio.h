@@ -6,22 +6,22 @@
  * stages the incoming formula, simplifies it once
  * (sat/preprocess.h) and then races N diversified CDCL instances
  * (different EVSIDS seeds, phase policies and restart schedules)
- * over a shared ThreadPool on every solve() call. Instances
- * exchange short low-LBD learnt clauses through a lock-light
- * append-only buffer; the first decisive finisher cancels the rest
- * through the Budget stop flag.
+ * over a shared ThreadPool on every solve() call. Instances share
+ * no clauses: each learns only from its own search, and the one
+ * thing they share is the Budget stop flag that cancels the
+ * losers of a race.
  *
  * Two arbitration modes:
- *  - racing (deterministic = false): first Sat/Unsat wins, all
- *    other instances are stopped, learnt clauses flow freely. The
- *    fastest mode, but the winning instance — and hence the model —
- *    may differ run to run.
- *  - deterministic (the default): clause sharing is off, nobody is
- *    cancelled, and the winner is the decisive instance with the
- *    lowest index. Every instance is then an isolated deterministic
- *    machine, so results are bit-identical for every thread count
- *    whenever budgets do not bind (conflict budgets, or wall-clock
- *    limits generous enough that no instance times out).
+ *  - racing (deterministic = false): first Sat/Unsat wins and all
+ *    other instances are stopped through the shared stop flag. The
+ *    winning instance — and hence the model — may differ run to
+ *    run.
+ *  - deterministic (the default): nobody is cancelled, and the
+ *    winner is the decisive instance with the lowest index. Every
+ *    instance is then an isolated deterministic machine, so
+ *    results are bit-identical for every thread count whenever
+ *    budgets do not bind (conflict budgets, or wall-clock limits
+ *    generous enough that no instance times out).
  *
  * Key invariants:
  *  - Variable numbering is shared: newVar()/addClause() broadcast
@@ -50,10 +50,7 @@
 #ifndef FERMIHEDRAL_SAT_PORTFOLIO_H
 #define FERMIHEDRAL_SAT_PORTFOLIO_H
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/parallel.h"
@@ -64,62 +61,6 @@
 #include "sat/types.h"
 
 namespace fermihedral::sat {
-
-/**
- * Lock-light learnt-clause exchange: an append-only publish log
- * with one read cursor per instance. The single mutex is taken only
- * when a glue clause is learnt or a restart imports — both rare
- * next to propagation — never per propagation or per decision.
- */
-class ClauseExchange
-{
-  public:
-    ClauseExchange(std::size_t instances, std::uint32_t max_lbd,
-                   std::size_t max_size);
-
-    /** LBD ceiling for published clauses (units always pass). */
-    std::uint32_t maxLbd() const { return lbdLimit; }
-
-    /** Length ceiling for published clauses. */
-    std::size_t maxSize() const { return sizeLimit; }
-
-    /** Append a clause learnt by `from`. */
-    void publish(std::size_t from, std::span<const Lit> literals,
-                 std::uint32_t lbd);
-
-    /** A clause in transit, with the publisher's LBD. */
-    struct SharedClause
-    {
-        std::vector<Lit> lits;
-        std::uint32_t lbd;
-    };
-
-    /**
-     * Append all clauses published by other instances since
-     * `instance` last collected. The publisher's LBD rides along
-     * so importers keep the glue protection reduceDb() grants.
-     */
-    void collect(std::size_t instance,
-                 std::vector<SharedClause> &out);
-
-    /** Total clauses ever published. */
-    std::uint64_t published() const;
-
-  private:
-    struct Entry
-    {
-        std::size_t from;
-        SharedClause clause;
-    };
-
-    std::uint32_t lbdLimit;
-    std::size_t sizeLimit;
-    mutable std::mutex mutex;
-    /** Entries every cursor consumed are pruned; this counts them. */
-    std::uint64_t totalPruned = 0;
-    std::vector<Entry> log;
-    std::vector<std::size_t> cursors;
-};
 
 /** Counters describing the portfolio's work so far. */
 struct PortfolioStats
@@ -225,7 +166,6 @@ class PortfolioSolver final : public SolverBase
     bool built = false;
     std::unique_ptr<Simplifier> simplifier;
     std::vector<std::unique_ptr<Solver>> instances;
-    std::unique_ptr<ClauseExchange> exchange;
     std::unique_ptr<ThreadPool> pool;
     std::vector<LBool> fullModel;
     bool topLevelUnsat = false;

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
-#include "sat/portfolio.h"
 #include "sat/preprocess.h"
 
 namespace fermihedral::sat {
@@ -681,87 +680,6 @@ Solver::clearLearnts()
 }
 
 // --------------------------------------------------------------------
-// Clause exchange
-// --------------------------------------------------------------------
-
-void
-Solver::connectExchange(ClauseExchange *new_exchange,
-                        std::size_t instance_id)
-{
-    exchange = new_exchange;
-    exchangeId = instance_id;
-}
-
-void
-Solver::publishLearnt(std::span<const Lit> literals,
-                      std::uint32_t lbd)
-{
-    if (!exchange || literals.empty())
-        return;
-    if (literals.size() > exchange->maxSize() ||
-        (literals.size() > 1 && lbd > exchange->maxLbd())) {
-        return;
-    }
-    exchange->publish(exchangeId, literals, lbd);
-    ++statistics.sharedOut;
-}
-
-bool
-Solver::adoptClause(std::span<const Lit> literals,
-                    std::uint32_t lbd)
-{
-    require(decisionLevel() == 0,
-            "shared clauses may only be adopted at level 0");
-    static thread_local std::vector<Lit> scratch;
-    scratch.clear();
-    for (const Lit lit : literals) {
-        require(static_cast<std::size_t>(litVar(lit)) < numVars(),
-                "shared clause references unknown variable");
-        if (value(lit) == LBool::True)
-            return true; // already satisfied at level 0
-        if (value(lit) == LBool::False)
-            continue; // falsified at level 0: drop literal
-        scratch.push_back(lit);
-    }
-    if (scratch.empty()) {
-        ok = false;
-        return false;
-    }
-    if (scratch.size() == 1) {
-        uncheckedEnqueue(scratch[0], crefUndef);
-        if (propagate() != crefUndef)
-            ok = false;
-        return ok;
-    }
-    const ClauseRef ref = arena.alloc(scratch, true);
-    // Keep the publisher's LBD (clamped: level-0 filtering may
-    // have shortened the clause) so glue clauses retain the
-    // keep-forever protection reduceDb() grants them.
-    arena.lbd(ref, std::min(lbd, static_cast<std::uint32_t>(
-                                     scratch.size() - 1)));
-    learntClauses.push_back(ref);
-    attachClause(ref);
-    return true;
-}
-
-bool
-Solver::importSharedClauses()
-{
-    if (!exchange)
-        return true;
-    static thread_local std::vector<ClauseExchange::SharedClause>
-        imports;
-    imports.clear();
-    exchange->collect(exchangeId, imports);
-    for (const auto &shared : imports) {
-        ++statistics.sharedIn;
-        if (!adoptClause(shared.lits, shared.lbd))
-            return false;
-    }
-    return true;
-}
-
-// --------------------------------------------------------------------
 // Clause addition
 // --------------------------------------------------------------------
 
@@ -1053,7 +971,6 @@ Solver::search(const Budget &budget, double start_time)
             }
             std::uint32_t bt_level = 0, lbd = 0;
             analyze(conflict, learntClause, bt_level, lbd);
-            publishLearnt(learntClause, lbd);
             cancelUntil(bt_level);
             if (learntClause.size() == 1) {
                 uncheckedEnqueue(learntClause[0], crefUndef);
@@ -1083,10 +1000,6 @@ Solver::search(const Budget &budget, double start_time)
             conflicts_this_round = 0;
             restart_limit = restartLimit(restart_round);
             cancelUntil(0);
-            // Restart boundaries are the one place foreign clauses
-            // can be adopted without disturbing an in-flight trail.
-            if (!importSharedClauses())
-                return SolveStatus::Unsat;
             continue;
         }
         if (budgetExpired(budget, start_time, start_conflicts)) {
@@ -1136,10 +1049,6 @@ Solver::solve(std::span<const Lit> assumptions, const Budget &budget)
     cancelUntil(0);
     if (propagate() != crefUndef) {
         ok = false;
-        return SolveStatus::Unsat;
-    }
-    if (!importSharedClauses()) {
-        assumptionList.clear();
         return SolveStatus::Unsat;
     }
     maybeCheck();

@@ -32,8 +32,8 @@
  *  - conflict/time budgets so descent steps can time out the same
  *    way the paper's setup bounds each SAT call,
  *  - configurable diversification (decision seed, phase policy,
- *    restart schedule) and learnt-clause exchange, the two hooks
- *    the portfolio front-end (sat/portfolio.h) races instances on.
+ *    restart schedule), the hook the portfolio front-end
+ *    (sat/portfolio.h) races instances on.
  *
  * Key invariants:
  *  - Variables are dense 0-based indices; every literal passed to
@@ -76,8 +76,6 @@
 #include "sat/var_heap.h"
 
 namespace fermihedral::sat {
-
-class ClauseExchange;
 
 /**
  * Search-heuristic configuration. The defaults reproduce the
@@ -197,16 +195,6 @@ class Solver final : public SolverBase
      * that want restart-from-scratch semantics.
      */
     void clearLearnts();
-
-    /**
-     * Join a learnt-clause exchange: short low-LBD learnt clauses
-     * are published under `instance_id` and clauses published by
-     * other instances are imported at restart boundaries. The
-     * exchange must outlive every connected solver, and all
-     * connected solvers must share one variable numbering.
-     */
-    void connectExchange(ClauseExchange *exchange,
-                         std::size_t instance_id);
 
     /**
      * The current problem clauses (simplified, possibly shrunk by
@@ -334,17 +322,6 @@ class Solver final : public SolverBase
     bool subsumptionPass();
     bool vivifyPass();
     bool enqueueFactAndPropagate(Lit lit);
-
-    // --- Clause exchange ---------------------------------------------------
-    ClauseExchange *exchange = nullptr;
-    std::size_t exchangeId = 0;
-
-    void publishLearnt(std::span<const Lit> literals,
-                       std::uint32_t lbd);
-    /** Adopt foreign clauses at level 0. False when UNSAT results. */
-    bool importSharedClauses();
-    bool adoptClause(std::span<const Lit> literals,
-                     std::uint32_t lbd);
 
     // --- Search ------------------------------------------------------------
     SolverConfig config;

@@ -65,9 +65,6 @@ struct SolverStats
     std::uint64_t restarts = 0;
     std::uint64_t learntLiterals = 0;
     std::uint64_t removedClauses = 0;
-    /** Learnt clauses exported to / adopted from a ClauseExchange. */
-    std::uint64_t sharedOut = 0;
-    std::uint64_t sharedIn = 0;
     /** Copying arena collections and the words they reclaimed. */
     std::uint64_t garbageCollects = 0;
     std::uint64_t reclaimedWords = 0;
@@ -88,8 +85,6 @@ struct SolverStats
         restarts += other.restarts;
         learntLiterals += other.learntLiterals;
         removedClauses += other.removedClauses;
-        sharedOut += other.sharedOut;
-        sharedIn += other.sharedIn;
         garbageCollects += other.garbageCollects;
         reclaimedWords += other.reclaimedWords;
         inprocessings += other.inprocessings;

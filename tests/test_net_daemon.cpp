@@ -257,14 +257,22 @@ TEST_F(NetDaemonTest, MalformedRequestsDegradeToErrorResults)
     EXPECT_NE(reply.message.find("no-such-strategy"),
               std::string::npos);
 
+    // A near miss carries the did-you-mean suggestion.
+    spec.strategy = "bravyi-kitaeb";
+    reply = client.compile(7, spec);
+    EXPECT_EQ(reply.status, api::ResultStatus::Error);
+    EXPECT_NE(reply.message.find("did you mean 'bravyi-kitaev'"),
+              std::string::npos)
+        << reply.message;
+
     // Over-ceiling model: rejected as a request error too.
     spec.strategy = "bravyi-kitaev";
     spec.problem = "modes:200";
-    reply = client.compile(7, spec);
+    reply = client.compile(8, spec);
     EXPECT_EQ(reply.status, api::ResultStatus::Error);
 
-    // The connection survived all three: PING still answers.
-    client.sendPing(8, "alive");
+    // The connection survived all four: PING still answers.
+    client.sendPing(9, "alive");
     frame = client.readMessage();
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->type, MessageType::Pong);

@@ -3,9 +3,9 @@
  * Tests for the portfolio SAT engine: SolverBase conformance,
  * preprocessing integration (model reconstruction over eliminated
  * variables, frozen incremental interfaces, skipping under
- * assumptions), diversification, clause sharing, and the
- * deterministic-arbitration bit-identity guarantee across thread
- * counts.
+ * assumptions), diversification, racing-mode cancellation, and
+ * the deterministic-arbitration bit-identity guarantee across
+ * thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -261,29 +261,10 @@ TEST(PortfolioSolver, StatsAggregateAcrossInstances)
               stats.winner.propagations);
 }
 
-TEST(ClauseExchange, RoutesClausesBetweenInstances)
+TEST(PortfolioSolver, RacingSolvesPigeonhole)
 {
-    ClauseExchange exchange(3, 2, 8);
-    const std::vector<Lit> clause = {mkLit(0), ~mkLit(1)};
-    exchange.publish(0, clause, 2);
-    std::vector<ClauseExchange::SharedClause> collected;
-    exchange.collect(0, collected);
-    EXPECT_TRUE(collected.empty()); // own clauses are not echoed
-    exchange.collect(1, collected);
-    ASSERT_EQ(collected.size(), 1u);
-    EXPECT_EQ(collected[0].lits, clause);
-    EXPECT_EQ(collected[0].lbd, 2u); // the publisher's LBD rides along
-    // A second collect from the same cursor yields nothing new.
-    collected.clear();
-    exchange.collect(1, collected);
-    EXPECT_TRUE(collected.empty());
-    EXPECT_EQ(exchange.published(), 1u);
-}
-
-TEST(PortfolioSolver, SharingRacingSolvesPigeonhole)
-{
-    // PHP(6,5) forces real conflict work on every instance; with
-    // sharing enabled the race must still return correct UNSAT.
+    // PHP(6,5) forces real conflict work on every instance; the
+    // race must still return correct UNSAT.
     PortfolioSolver solver(withInstances(3, 3, false));
     const int holes = 5, pigeons = 6;
     std::vector<std::vector<Var>> at(pigeons,

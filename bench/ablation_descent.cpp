@@ -1,8 +1,10 @@
 /**
  * @file
- * Ablation study for the design choices DESIGN.md calls out:
- *  - warm start (phase + activity seeding from the baseline),
- *  - the optional vacuum X/Y-pairing constraint,
+ * Ablation study for two descent design choices, the
+ * DescentOptions toggles in core/descent_solver.h:
+ *  - warmStart (phase + activity seeding from the baseline),
+ *  - vacuumPreservation, the optional vacuum X/Y-pairing
+ *    constraint (paper Sec. 3.1),
  * measured by the best cost reached and the time to reach it under
  * a fixed budget.
  */
@@ -30,7 +32,7 @@ main(int argc, char **argv)
         return 0;
     tflags.arm();
 
-    bench::banner("descent ablations", "DESIGN.md");
+    bench::banner("descent ablations", "Sec. 3.1");
     Table table({"Modes", "Warm start", "Vacuum", "Cost",
                  "Time-to-best (s)", "SAT calls", "Optimal?"});
 

@@ -213,7 +213,7 @@ compilationRequest(Config config, double step_timeout,
     request.totalTimeoutSeconds = total_timeout;
     if (const EngineFlags *engine = EngineFlags::active())
         engine->apply(request);
-    // A --topology/--topology-file flag makes every request in the
+    // A --topology flag makes every request in the
     // binary hardware-aware: an Auto objective resolves to
     // routed-cost and costs become routed estimates.
     if (const auto *topology = hw::TopologyFlags::active()) {

@@ -42,7 +42,7 @@ main(int argc, char **argv)
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();
-    // With --topology/--topology-file the compile becomes
+    // With --topology the compile becomes
     // connectivity-aware and the table gains routed columns; the
     // noisy simulation itself stays on the logical circuit (the
     // paper's device was all-to-all ion-trap).

@@ -12,8 +12,8 @@
  * --threads/--instances/--racing/--preprocess select the portfolio
  * configuration, a second table reports per-run solver statistics
  * (propagations, conflicts, learnt literals, simplifier
- * eliminations), and --json dumps everything as a machine-readable
- * artifact for CI trend tracking.
+ * eliminations). Performance over time is tracked by perfbench/,
+ * not by this binary.
  */
 
 #include <cstdio>
@@ -21,7 +21,6 @@
 
 #include "bench_util.h"
 #include "common/flags.h"
-#include "common/json_writer.h"
 #include "common/parallel.h"
 #include "common/table.h"
 
@@ -71,51 +70,6 @@ trajectoryString(const core::DescentResult &result)
     return out.empty() ? std::string("(baseline only)") : out;
 }
 
-void
-appendRunJson(std::string &json, const char *label,
-              std::int64_t modes, const Measurement &m)
-{
-    const auto &r = m.result;
-    const auto &s = r.satStats;
-    JsonWriter w;
-    w.beginObject()
-        .member("label", label)
-        .member("modes", modes)
-        .member("cost", r.cost)
-        .member("baseline_cost", r.baselineCost)
-        .member("proved_optimal", r.provedOptimal)
-        .member("sat_calls", r.satCalls)
-        .member("construct_s", m.construct)
-        .member("time_to_best_s", m.solve)
-        .member("solve_s", m.totalSolve)
-        .member("vars", r.numVars)
-        .member("clauses", r.numClauses)
-        .member("propagations", s.aggregate.propagations)
-        .member("conflicts", s.aggregate.conflicts)
-        .member("learnt_literals", s.aggregate.learntLiterals)
-        .member("eliminated_vars",
-                s.simplifier.eliminatedVariables)
-        .member("subsumed", s.simplifier.subsumedClauses)
-        .member("strengthened", s.simplifier.strengthenedLiterals)
-        .member("simplified_clauses",
-                s.simplifier.simplifiedClauses)
-        .member("simplify_s", s.simplifier.seconds)
-        .member("gc_runs", s.aggregate.garbageCollects)
-        .member("reclaimed_words", s.aggregate.reclaimedWords)
-        .member("inprocessings", s.aggregate.inprocessings)
-        .member("inprocess_subsumed",
-                s.aggregate.inprocessSubsumed)
-        .member("vivified_clauses", s.aggregate.vivifiedClauses)
-        .member("vivified_literals", s.aggregate.vivifiedLiterals)
-        .member("cleared_learnts", s.aggregate.clearedLearnts)
-        .member("last_winner", s.lastWinner)
-        .endObject();
-    if (json.back() != '[')
-        json += ',';
-    json += "\n  ";
-    json += w.take();
-}
-
 } // namespace
 
 int
@@ -129,15 +83,11 @@ main(int argc, char **argv)
     const auto *timeout =
         flags.addDouble("timeout", 60.0, "budget per run (s)");
     const auto engine = bench::EngineFlags::add(flags);
-    const auto *json_path = flags.addString(
-        "json", "", "write run statistics to this JSON file");
     const auto tflags = telemetry::TelemetryFlags::add(flags);
     bench::addProgressFlag(flags);
     if (!flags.parse(argc, argv))
         return 0;
     tflags.arm();
-
-    std::string json = "[";
 
     bench::banner("time to construct and solve", "Figure 11");
     Table table({"Modes", "Construct w/ (s)", "Construct w/o (s)",
@@ -203,8 +153,6 @@ main(int argc, char **argv)
                  Table::num(std::int64_t(m->result.satCalls)),
                  trajectoryString(m->result)});
         }
-        appendRunJson(json, "full_sat", n, with);
-        appendRunJson(json, "no_alg", n, without);
     }
     std::printf("%s", table.render().c_str());
     std::printf("Dropping the 4^N independence clauses should give "
@@ -228,19 +176,6 @@ main(int argc, char **argv)
                 *engine.carry ? "on" : "off",
                 *engine.inprocess ? "on" : "off");
 
-    json += "\n]\n";
-    if (!json_path->empty()) {
-        std::FILE *f = std::fopen(json_path->c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path->c_str());
-            tflags.report();
-            return 1;
-        }
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "wrote %s\n", json_path->c_str());
-    }
     tflags.report();
     return 0;
 }

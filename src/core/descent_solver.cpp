@@ -66,19 +66,6 @@ DescentSolver::afterStep(std::size_t sat_calls)
     }
 }
 
-std::size_t
-DescentSolver::baselineCost(const enc::FermionEncoding &bk) const
-{
-    if (structure.empty())
-        return bk.totalWeight();
-    std::size_t total = 0;
-    for (const auto &subset : structure) {
-        total += subset.multiplicity *
-                 enc::majoranaProduct(bk, subset.mask).weight();
-    }
-    return total;
-}
-
 DescentResult
 DescentSolver::solve()
 {
@@ -89,7 +76,7 @@ DescentSolver::solve()
     DescentResult result;
 
     const enc::FermionEncoding bk = enc::bravyiKitaev(modes);
-    result.baselineCost = baselineCost(bk);
+    result.baselineCost = encodingCost(bk, structure);
 
     // Start from the cheapest encoding that satisfies the active
     // constraints. BK always does; the ternary tree lacks the X/Y
@@ -99,7 +86,7 @@ DescentSolver::solve()
     std::size_t start_cost = result.baselineCost;
     if (!options.vacuumPreservation) {
         const enc::FermionEncoding tt = enc::ternaryTree(modes);
-        const std::size_t tt_cost = baselineCost(tt);
+        const std::size_t tt_cost = encodingCost(tt, structure);
         if (tt_cost < start_cost) {
             start = tt;
             start_cost = tt_cost;
@@ -112,7 +99,7 @@ DescentSolver::solve()
         const bool feasible =
             validation.valid() &&
             (!options.vacuumPreservation || validation.xyPairing);
-        const std::size_t seed_cost = baselineCost(seed);
+        const std::size_t seed_cost = encodingCost(seed, structure);
         if (feasible && seed_cost < start_cost) {
             start = seed;
             start_cost = seed_cost;

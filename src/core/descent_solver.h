@@ -213,8 +213,6 @@ class DescentSolver
 
     /** Carry-over / inprocessing maintenance after a SAT step. */
     void afterStep(std::size_t sat_calls);
-
-    std::size_t baselineCost(const enc::FermionEncoding &bk) const;
 };
 
 } // namespace fermihedral::core

@@ -6,6 +6,20 @@
 
 namespace fermihedral::core {
 
+std::size_t
+encodingCost(const enc::FermionEncoding &encoding,
+             const std::vector<fermion::WeightedSubset> &structure)
+{
+    if (structure.empty())
+        return encoding.totalWeight();
+    std::size_t total = 0;
+    for (const auto &subset : structure) {
+        total += subset.multiplicity *
+                 enc::majoranaProduct(encoding, subset.mask).weight();
+    }
+    return total;
+}
+
 using sat::Lit;
 using sat::mkLit;
 
@@ -265,19 +279,6 @@ EncodingModel::decode() const
         encoding.majoranas.push_back(string);
     }
     return encoding;
-}
-
-std::size_t
-EncodingModel::costOf(const enc::FermionEncoding &encoding) const
-{
-    if (options.hamiltonianStructure.empty())
-        return encoding.totalWeight();
-    std::size_t total = 0;
-    for (const auto &subset : options.hamiltonianStructure) {
-        total += subset.multiplicity *
-                 enc::majoranaProduct(encoding, subset.mask).weight();
-    }
-    return total;
 }
 
 void

@@ -84,6 +84,15 @@ struct EncodingModelOptions
     std::size_t costCap = 0;
 };
 
+/**
+ * The search objective of an encoding: the Hamiltonian-dependent
+ * weight of `structure` (Sec. 3.7), or the total operator weight
+ * (Sec. 3.6) when `structure` is empty.
+ */
+std::size_t encodingCost(
+    const enc::FermionEncoding &encoding,
+    const std::vector<fermion::WeightedSubset> &structure);
+
 /** The constraint system for one encoding search. */
 class EncodingModel
 {
@@ -108,7 +117,11 @@ class EncodingModel
     enc::FermionEncoding decode() const;
 
     /** Cost of a decoded encoding under this model's objective. */
-    std::size_t costOf(const enc::FermionEncoding &encoding) const;
+    std::size_t
+    costOf(const enc::FermionEncoding &encoding) const
+    {
+        return encodingCost(encoding, options.hamiltonianStructure);
+    }
 
     /**
      * Initialise the solver's saved phases from a known-feasible

@@ -11,8 +11,6 @@ namespace fermihedral::hw {
 
 namespace {
 
-constexpr const char *kTopologyHeader = "fermihedral-topology v1";
-
 /** Strict decimal parse; nullopt on anything else. */
 std::optional<std::size_t>
 parseCount(std::string_view text)
@@ -332,90 +330,6 @@ Topology::parseSpec(std::string_view spec)
     auto topology = tryParseSpec(spec, &error);
     if (!topology)
         fatal(error);
-    return *std::move(topology);
-}
-
-std::string
-Topology::serialize() const
-{
-    std::ostringstream out;
-    out << kTopologyHeader << '\n'
-        << "qubits " << n << '\n'
-        << "edges " << edgeList.size() << '\n';
-    for (const auto &[a, b] : edgeList)
-        out << a << ' ' << b << '\n';
-    return out.str();
-}
-
-std::optional<Topology>
-Topology::tryParse(std::string_view text)
-{
-    // A hand-rolled line cursor (same silent-failure contract as
-    // api/serialize.cpp's Reader): corrupted bytes reject, never
-    // throw.
-    std::size_t pos = 0;
-    const auto takeLine = [&]() -> std::optional<std::string_view> {
-        if (pos >= text.size())
-            return std::nullopt;
-        const std::size_t eol = text.find('\n', pos);
-        const std::size_t end =
-            eol == std::string_view::npos ? text.size() : eol;
-        const std::string_view line = text.substr(pos, end - pos);
-        pos = eol == std::string_view::npos ? text.size() : eol + 1;
-        return line;
-    };
-    const auto takeField =
-        [&](std::string_view key) -> std::optional<std::size_t> {
-        const auto line = takeLine();
-        if (!line || line->size() < key.size() + 2 ||
-            line->substr(0, key.size()) != key ||
-            (*line)[key.size()] != ' ')
-            return std::nullopt;
-        return parseCount(line->substr(key.size() + 1));
-    };
-
-    if (takeLine() != std::optional<std::string_view>(
-                          kTopologyHeader))
-        return std::nullopt;
-    const auto qubits = takeField("qubits");
-    const auto count = takeField("edges");
-    if (!qubits || !count || *qubits < 1 || *qubits > kMaxQubits)
-        return std::nullopt;
-
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(*count);
-    for (std::size_t i = 0; i < *count; ++i) {
-        const auto line = takeLine();
-        if (!line)
-            return std::nullopt;
-        const std::size_t space = line->find(' ');
-        if (space == std::string_view::npos)
-            return std::nullopt;
-        const auto a = parseCount(line->substr(0, space));
-        const auto b = parseCount(line->substr(space + 1));
-        if (!a || !b || *a >= *qubits || *b >= *qubits || *a == *b)
-            return std::nullopt;
-        edges.push_back({static_cast<std::uint32_t>(*a),
-                         static_cast<std::uint32_t>(*b)});
-    }
-    if (pos < text.size())
-        return std::nullopt;
-    // Reject rather than collapse duplicates: a doubled line in a
-    // stored file means the file is not what serialize() wrote.
-    auto sorted = edges;
-    canonicalize(sorted);
-    if (sorted.size() != edges.size())
-        return std::nullopt;
-    return fromEdges(*qubits, std::move(edges));
-}
-
-Topology
-Topology::parse(std::string_view text)
-{
-    auto topology = tryParse(text);
-    if (!topology)
-        fatal("malformed serialized topology (expected the '",
-              kTopologyHeader, "' format)");
     return *std::move(topology);
 }
 

@@ -11,10 +11,9 @@
  *  - named builders: linear(n), grid(w, h), heavyHex(cells),
  *    allToAll(n) and the general fromEdges();
  *  - one-line specs ("grid:2x4", "heavy-hex:2", "linear:8",
- *    "all-to-all:6", "edges:5:0-1,1-2,...") — the form that rides
- *    CLI flags and the daemon wire format;
- *  - an edge-list text document (serialize()/tryParse()) for
- *    --topology-file.
+ *    "all-to-all:6", "edges:5:0-1,1-2,...") — the one text form,
+ *    used on CLI flags, the daemon wire format and cache keys; the
+ *    "edges:" family names any graph.
  *
  * Key invariants:
  *  - edges() is canonical: every pair (a, b) has a < b, the list is
@@ -24,9 +23,9 @@
  *  - distance(a, b) is the exact BFS hop count (kUnreachable when
  *    disconnected), symmetric, zero exactly on the diagonal, and 1
  *    exactly on edges.
- *  - tryParse()/tryParseSpec() reject malformed input with a
- *    diagnostic instead of crashing — they guard peer bytes and
- *    operator typos; the builders fatal on programmer error.
+ *  - tryParseSpec() rejects malformed input with a diagnostic
+ *    instead of crashing — it guards peer bytes and operator
+ *    typos; the builders fatal on programmer error.
  *  - spec() round-trips: tryParseSpec(t.spec()) reproduces an equal
  *    topology for every constructible t, which is what lets a spec
  *    string stand in for the full graph on the wire and in cache
@@ -109,20 +108,6 @@ class Topology
 
     /** The structural "edges:<qubits>:a-b,..." form (name-free). */
     std::string edgesSpec() const;
-
-    // --- edge-list text document --------------------------------
-    /** Serialize to the "fermihedral-topology v1" text format. */
-    std::string serialize() const;
-
-    /**
-     * Parse a serialized document; nullopt on any corruption
-     * (bad header, count mismatch, out-of-range endpoints, self
-     * loops, duplicates, trailing bytes).
-     */
-    static std::optional<Topology> tryParse(std::string_view text);
-
-    /** tryParse with malformed input as a fatal diagnostic. */
-    static Topology parse(std::string_view text);
 
     // --- graph queries ------------------------------------------
     std::size_t numQubits() const { return n; }

@@ -1,31 +1,27 @@
 /**
  * @file
- * The shared hardware-topology flags: benches and examples register
- * --topology / --topology-file with one TopologyFlags::add(flags)
- * call (same overlay pattern as telemetry::TelemetryFlags and
- * bench::EngineFlags). resolve() turns whichever flag was given
- * into a hw::Topology, with the registry-style did-you-mean
- * diagnostic on unknown family names.
+ * The shared hardware-topology flag: benches and examples register
+ * --topology with one TopologyFlags::add(flags) call (same overlay
+ * pattern as telemetry::TelemetryFlags and bench::EngineFlags).
+ * resolve() turns the spec into a hw::Topology, with the
+ * registry-style did-you-mean diagnostic on unknown family names.
+ * Any graph is expressible as an "edges:N:a-b,..." spec.
  *
  * Key invariants:
- *  - With neither flag given, resolve() returns nullopt and the
- *    binary behaves exactly as before the flags existed (the
- *    implicit all-to-all assumption).
- *  - Giving both flags, an unparseable spec, or an unreadable /
- *    corrupted file is a fatal diagnostic at flag-resolution time,
- *    never a silently ignored topology.
+ *  - Without --topology, resolve() returns nullopt and the binary
+ *    behaves exactly as before the flag existed (the implicit
+ *    all-to-all assumption).
+ *  - An unparseable spec is a fatal diagnostic at flag-resolution
+ *    time, never a silently ignored topology.
  */
 
 #ifndef FERMIHEDRAL_HW_TOPOLOGY_FLAGS_H
 #define FERMIHEDRAL_HW_TOPOLOGY_FLAGS_H
 
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "common/flags.h"
-#include "common/logging.h"
 #include "hw/topology.h"
 
 namespace fermihedral::hw {
@@ -34,7 +30,6 @@ namespace fermihedral::hw {
 struct TopologyFlags
 {
     const std::string *spec = nullptr;
-    const std::string *file = nullptr;
 
     static TopologyFlags
     add(FlagSet &flags)
@@ -45,32 +40,16 @@ struct TopologyFlags
             "hardware connectivity as NAME[:ARGS] (linear:N, "
             "grid:WxH, heavy-hex:CELLS, all-to-all:N, "
             "edges:N:a-b,...); empty = all-to-all/unconstrained");
-        topology.file = flags.addString(
-            "topology-file", "",
-            "read the connectivity from a fermihedral-topology v1 "
-            "edge-list file instead");
         storage() = topology;
         return topology;
     }
 
-    /** The topology the flags name; nullopt when neither given. */
+    /** The topology the flag names; nullopt when not given. */
     std::optional<Topology>
     resolve() const
     {
-        const bool have_spec = spec && !spec->empty();
-        const bool have_file = file && !file->empty();
-        if (have_spec && have_file)
-            fatal("--topology and --topology-file are exclusive");
-        if (have_spec)
+        if (spec && !spec->empty())
             return Topology::parseSpec(*spec);
-        if (have_file) {
-            std::ifstream in(*file);
-            if (!in)
-                fatal("cannot read topology file '", *file, "'");
-            std::ostringstream text;
-            text << in.rdbuf();
-            return Topology::parse(text.str());
-        }
         return std::nullopt;
     }
 

@@ -80,6 +80,10 @@ TEST(DescentSolver, HamiltonianDependentTwoSiteHubbard)
     options.totalTimeoutSeconds = 60.0;
     DescentSolver solver(h, options);
     const auto result = solver.solve();
+    // The baseline is Bravyi-Kitaev under the Hamiltonian objective.
+    EXPECT_EQ(result.baselineCost,
+              enc::hamiltonianPauliWeight(
+                  h, enc::bravyiKitaev(h.modes())));
     EXPECT_LE(result.cost, result.baselineCost);
     const auto v = enc::validateEncoding(result.encoding);
     EXPECT_TRUE(v.valid()) << v.detail;

@@ -97,11 +97,8 @@ main(int argc, char **argv)
             const auto &qubit_h = compiled.qubitHamiltonian;
             const auto eigen = sim::eigendecompose(qubit_h);
             const auto initial = eigen.state(0);
-            circuit::CompileOptions copts;
-            copts.trotterSteps =
-                static_cast<std::size_t>(*steps);
-            const auto circuit =
-                circuit::compileTrotter(qubit_h, 1.0, copts);
+            const auto circuit = circuit::compileTrotter(
+                qubit_h, 1.0, static_cast<std::size_t>(*steps));
 
             sim::StateVector noiseless = initial;
             noiseless.applyCircuit(circuit);

@@ -109,10 +109,8 @@ main(int argc, char **argv)
                 annealed.annealedCost, annealed.baselineCost);
 
     const auto stats = service.cacheStats();
-    std::printf("cache: %zu hits (%zu from disk), %zu misses, "
-                "%zu computes\n",
-                stats.hits, stats.diskHits, stats.misses,
-                stats.computes);
+    std::printf("cache: %zu hits (%zu from disk), %zu misses\n",
+                stats.hits, stats.diskHits, stats.misses);
     if (!stats_json->empty()) {
         std::ofstream out(*stats_json);
         out << service.cacheStatsJson() << '\n';

@@ -118,10 +118,8 @@ main(int argc, char **argv)
     std::printf("registered strategies:");
     for (const auto &name : api::registeredStrategyNames())
         std::printf(" %s", name.c_str());
-    std::printf("\ncache: %zu hits (%zu from disk), %zu misses, "
-                "%zu computes\n",
-                stats.hits, stats.diskHits, stats.misses,
-                stats.computes);
+    std::printf("\ncache: %zu hits (%zu from disk), %zu misses\n",
+                stats.hits, stats.diskHits, stats.misses);
     if (!stats_json->empty()) {
         std::ofstream out(*stats_json);
         out << service.cacheStatsJson() << '\n';

@@ -52,6 +52,25 @@ CompilationRequest::resolvedObjective() const
     return objective;
 }
 
+std::string
+requestDiagnostic(const CompilationRequest &request)
+{
+    const std::size_t modes = request.resolvedModes();
+    if (modes == 0)
+        return "CompilationRequest needs modes > 0 or a Hamiltonian";
+    if (!request.topology)
+        return "";
+    const hw::Topology &topology = *request.topology;
+    if (!topology.connected())
+        return "topology '" + topology.spec() + "' is not connected";
+    if (topology.numQubits() < modes)
+        return "topology '" + topology.spec() + "' has " +
+               std::to_string(topology.numQubits()) +
+               " qubits but the problem needs " +
+               std::to_string(modes);
+    return "";
+}
+
 CompilationResult
 Compiler::assemble(const CompilationRequest &request,
                    const SearchOutcome &outcome)
@@ -82,17 +101,9 @@ Compiler::assemble(const CompilationRequest &request,
 CompilationResult
 Compiler::compile(const CompilationRequest &request) const
 {
-    if (request.resolvedModes() == 0)
-        fatal("CompilationRequest needs modes > 0 or a Hamiltonian");
-    if (request.topology) {
-        if (!request.topology->connected())
-            fatal("CompilationRequest topology must be connected");
-        if (request.topology->numQubits() <
-            request.resolvedModes())
-            fatal("topology has ", request.topology->numQubits(),
-                  " qubits but the problem needs ",
-                  request.resolvedModes());
-    }
+    if (const std::string why = requestDiagnostic(request);
+        !why.empty())
+        fatal(why);
     const auto strategy = makeStrategy(request.strategy);
     Timer timer;
     const SearchOutcome outcome = strategy->search(request);

@@ -171,6 +171,14 @@ struct CompilationRequest : sat::EngineConfig
 };
 
 /**
+ * Why `request` cannot compile, or "" when it can: it names no
+ * modes, or its topology is disconnected or narrower than the
+ * problem. The one check behind Compiler::compile, CompilerService
+ * and tryBuildRequest (api/model_spec.h).
+ */
+std::string requestDiagnostic(const CompilationRequest &request);
+
+/**
  * What an EncodingStrategy returns: the encoding plus the search
  * provenance the facade folds into the CompilationResult.
  */

@@ -260,23 +260,14 @@ tryBuildRequest(const RequestSpec &spec, std::string *error)
             failSpec(error, std::move(topology_error));
             return std::nullopt;
         }
-        if (!topology->connected()) {
-            failSpec(error, "topology '" + spec.topology +
-                                "' is not connected");
-            return std::nullopt;
-        }
-        if (topology->numQubits() < request.resolvedModes()) {
-            failSpec(error,
-                     "topology '" + spec.topology + "' has " +
-                         std::to_string(topology->numQubits()) +
-                         " qubits but the problem needs " +
-                         std::to_string(request.resolvedModes()));
-            return std::nullopt;
-        }
         request.topology = *std::move(topology);
     } else if (spec.objective == Objective::RoutedCost) {
         failSpec(error, "objective 'routed-cost' needs a topology "
                         "in the request spec");
+        return std::nullopt;
+    }
+    if (std::string why = requestDiagnostic(request); !why.empty()) {
+        failSpec(error, std::move(why));
         return std::nullopt;
     }
     request.strategy = spec.strategy;

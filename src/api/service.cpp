@@ -101,6 +101,21 @@ checkedCachePayload(std::string_view view)
     return payload;
 }
 
+/**
+ * Caller errors stay fatal on the caller's thread: an unknown
+ * strategy (with the nearest-name suggestion) or a request
+ * Compiler::compile would reject. Everything past this check
+ * degrades to a ResultStatus instead of throwing.
+ */
+void
+rejectCallerErrors(const CompilationRequest &request)
+{
+    makeStrategy(request.strategy);
+    if (const std::string why = requestDiagnostic(request);
+        !why.empty())
+        fatal(why);
+}
+
 } // namespace
 
 StoreVerification
@@ -379,10 +394,7 @@ CompilerService::store(const std::string &key,
 CompilationResult
 CompilerService::compile(const CompilationRequest &request)
 {
-    // Unknown strategy names are caller errors and stay fatal on
-    // the caller's thread; everything past this validation line
-    // degrades to a ResultStatus instead of throwing.
-    makeStrategy(request.strategy);
+    rejectCallerErrors(request);
     {
         std::lock_guard lock(cacheMutex);
         ++serving.submitted;
@@ -528,7 +540,6 @@ CompilerService::compileImpl(const CompilationRequest &request,
     {
         std::lock_guard lock(cacheMutex);
         ++stats.misses;
-        ++stats.computes;
         if (outcome->status != ResultStatus::Ok)
             ++serving.degraded;
     }
@@ -579,9 +590,8 @@ CompilerService::recordStatus(ResultStatus status)
 std::future<CompilationResult>
 CompilerService::submit(CompilationRequest request)
 {
-    // Fail fast on unknown strategies (with the nearest-name
-    // suggestion) instead of burying the diagnostic in a future.
-    makeStrategy(request.strategy);
+    // Fail fast instead of burying the diagnostic in a future.
+    rejectCallerErrors(request);
     {
         std::lock_guard lock(cacheMutex);
         ++serving.submitted;
@@ -723,7 +733,6 @@ CompilerService::cacheStatsJson() const
         .member("hits", snapshot.hits)
         .member("diskHits", snapshot.diskHits)
         .member("misses", snapshot.misses)
-        .member("computes", snapshot.computes)
         .member("insertions", snapshot.insertions)
         .member("evictions", snapshot.evictions)
         .member("corrupted", snapshot.corrupted)

@@ -49,7 +49,7 @@
  *    bit-identically in every serialized field (the stored payload
  *    is the SearchOutcome; mapping and grouping are re-derived
  *    deterministically) with fromCache = true and no strategy
- *    execution — cacheStats().computes does not move. Only Ok
+ *    execution — cacheStats().misses does not move. Only Ok
  *    outcomes are ever stored.
  *  - submit() never runs work on the caller's thread; tasks are
  *    pulled one at a time by a fixed set of worker threads, so a
@@ -137,8 +137,6 @@ struct CacheStats
     std::size_t diskHits = 0;
     /** Requests that had to run the strategy. */
     std::size_t misses = 0;
-    /** Strategy executions (== misses; split for readability). */
-    std::size_t computes = 0;
     /** Entries written into the in-memory LRU. */
     std::size_t insertions = 0;
     /** LRU entries discarded for capacity. */

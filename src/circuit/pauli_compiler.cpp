@@ -1,6 +1,5 @@
 #include "circuit/pauli_compiler.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -63,28 +62,19 @@ appendPauliEvolution(Circuit &circuit,
 }
 
 std::vector<pauli::PauliTerm>
-orderTerms(const pauli::PauliSum &hamiltonian, TermOrder order)
+orderTerms(const pauli::PauliSum &hamiltonian)
 {
     std::vector<pauli::PauliTerm> terms;
     for (const auto &term : hamiltonian.terms()) {
         if (!term.string.isIdentity())
             terms.push_back(term);
     }
-    if (order == TermOrder::Natural || terms.size() <= 2)
+    if (terms.size() <= 2)
         return terms;
 
-    if (order == TermOrder::Lexicographic) {
-        std::sort(terms.begin(), terms.end(),
-                  [](const pauli::PauliTerm &a,
-                     const pauli::PauliTerm &b) {
-                      return a.string < b.string;
-                  });
-        return terms;
-    }
-
-    // GreedyOverlap: chain terms so neighbours share as many equal
-    // non-identity operators as possible (those single-qubit basis
-    // rotations and CNOT legs cancel between adjacent blocks).
+    // Chain terms so neighbours share as many equal non-identity
+    // operators as possible (those single-qubit basis rotations and
+    // CNOT legs cancel between adjacent blocks).
     auto overlap = [](const pauli::PauliString &a,
                       const pauli::PauliString &b) {
         // Equal ops: neither mask differs; non-identity: mask set.
@@ -122,38 +112,21 @@ orderTerms(const pauli::PauliSum &hamiltonian, TermOrder order)
 
 Circuit
 compileTrotter(const pauli::PauliSum &hamiltonian, double time,
-               const CompileOptions &options)
+               std::size_t steps)
 {
-    require(options.trotterSteps >= 1,
-            "compileTrotter needs at least one step");
+    require(steps >= 1, "compileTrotter needs at least one step");
     require(hamiltonian.isHermitian(1e-6),
             "compileTrotter requires a Hermitian Pauli sum");
     Circuit circuit(hamiltonian.numQubits());
-    const auto terms = orderTerms(hamiltonian, options.order);
-    const double dt =
-        time / static_cast<double>(options.trotterSteps);
-    for (std::size_t step = 0; step < options.trotterSteps; ++step) {
-        if (options.trotterOrder == TrotterOrder::First) {
-            for (const auto &term : terms) {
-                appendPauliEvolution(circuit, term.string,
-                                     term.coefficient.real() * dt);
-            }
-        } else {
-            // Symmetric Suzuki step: half forward, half backward.
-            for (const auto &term : terms) {
-                appendPauliEvolution(
-                    circuit, term.string,
-                    term.coefficient.real() * dt / 2.0);
-            }
-            for (std::size_t i = terms.size(); i-- > 0;) {
-                appendPauliEvolution(
-                    circuit, terms[i].string,
-                    terms[i].coefficient.real() * dt / 2.0);
-            }
+    const auto terms = orderTerms(hamiltonian);
+    const double dt = time / static_cast<double>(steps);
+    for (std::size_t step = 0; step < steps; ++step) {
+        for (const auto &term : terms) {
+            appendPauliEvolution(circuit, term.string,
+                                 term.coefficient.real() * dt);
         }
     }
-    if (options.optimize)
-        optimizeCircuit(circuit);
+    optimizeCircuit(circuit);
     return circuit;
 }
 

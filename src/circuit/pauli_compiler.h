@@ -17,8 +17,8 @@
  *  - compileTrotter() emits one evolution block per non-identity
  *    term per step; term ordering and peephole passes change gate
  *    counts but never the implemented unitary.
- *  - orderTerms() returns a permutation of the sum's terms —
- *    nothing is dropped, merged or rescaled.
+ *  - orderTerms() returns a permutation of the sum's non-identity
+ *    terms — nothing else is dropped, merged or rescaled.
  */
 
 #ifndef FERMIHEDRAL_CIRCUIT_PAULI_COMPILER_H
@@ -29,42 +29,6 @@
 #include "pauli/pauli_sum.h"
 
 namespace fermihedral::circuit {
-
-/** Term-ordering strategies for Trotter compilation. */
-enum class TermOrder
-{
-    /** Keep the PauliSum's canonical order. */
-    Natural,
-    /** Sort lexicographically by operator pattern. */
-    Lexicographic,
-    /** Greedy chain maximising operator overlap between neighbours. */
-    GreedyOverlap,
-};
-
-/** Product-formula order. */
-enum class TrotterOrder
-{
-    /** exp(iHt) ~ prod_j exp(i w_j P_j dt) per step. */
-    First,
-    /**
-     * Second-order Suzuki: forward half-step then backward
-     * half-step, with O(dt^3) local error. Adjacent half-steps share
-     * a boundary term, which the peephole passes merge.
-     */
-    Second,
-};
-
-/** Options for compileTrotter. */
-struct CompileOptions
-{
-    TermOrder order = TermOrder::GreedyOverlap;
-    /** Run the cancellation/rotation-merging peephole passes. */
-    bool optimize = true;
-    /** Number of Trotter steps. */
-    std::size_t trotterSteps = 1;
-    /** Product-formula order (extension beyond the paper). */
-    TrotterOrder trotterOrder = TrotterOrder::First;
-};
 
 /**
  * Append the circuit implementing exp(i * theta * P).
@@ -78,16 +42,19 @@ void appendPauliEvolution(Circuit &circuit,
                           double theta);
 
 /**
- * First-order Trotter circuit for exp(i * H * time) with the given
- * term ordering and optimization options.
+ * First-order Trotter circuit for exp(i * H * time) over `steps`
+ * steps: the orderTerms() sequence, then the peephole passes.
  */
 Circuit compileTrotter(const pauli::PauliSum &hamiltonian,
-                       double time,
-                       const CompileOptions &options = {});
+                       double time, std::size_t steps = 1);
 
-/** The term sequence compileTrotter would use (exposed for tests). */
+/**
+ * The term sequence compileTrotter uses: the non-identity terms,
+ * chained greedily so neighbours share as many equal operators as
+ * possible (exposed for tests).
+ */
 std::vector<pauli::PauliTerm> orderTerms(
-    const pauli::PauliSum &hamiltonian, TermOrder order);
+    const pauli::PauliSum &hamiltonian);
 
 } // namespace fermihedral::circuit
 

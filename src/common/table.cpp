@@ -57,21 +57,6 @@ Table::render() const
 }
 
 std::string
-Table::renderCsv() const
-{
-    std::ostringstream oss;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            oss << (c ? "," : "") << row[c];
-        oss << '\n';
-    };
-    emit(headers);
-    for (const auto &row : rows)
-        emit(row);
-    return oss.str();
-}
-
-std::string
 Table::num(double value, int precision)
 {
     std::ostringstream oss;

@@ -3,15 +3,12 @@
  * Console table rendering for the benchmark harnesses.
  *
  * Each bench binary reproduces a paper table or figure by printing an
- * aligned text table (and optionally CSV) of the same rows/series the
- * paper reports.
+ * aligned text table of the same rows/series the paper reports.
  *
  * Key invariants:
  *  - The header row fixes the column count; addRow() aborts on a
  *    row of any other width, so a rendered table is always
  *    rectangular.
- *  - render() and renderCsv() are const and produce the same cells
- *    in the same order — only the delimiters differ.
  */
 
 #ifndef FERMIHEDRAL_COMMON_TABLE_H
@@ -34,9 +31,6 @@ class Table
 
     /** Render with aligned columns. */
     std::string render() const;
-
-    /** Render as CSV (no alignment padding). */
-    std::string renderCsv() const;
 
     /** Format helper: fixed-precision double. */
     static std::string num(double value, int precision = 2);

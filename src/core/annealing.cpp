@@ -4,10 +4,18 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/rng.h"
 
 namespace fermihedral::core {
 
 namespace {
+
+// Algorithm 2's schedule (T0, T1, alpha, i) and the RNG seed.
+constexpr double kInitialTemperature = 40.0;
+constexpr double kFinalTemperature = 0.5;
+constexpr double kTemperatureStep = 0.5;
+constexpr std::size_t kProposalsPerTemperature = 200;
+constexpr std::uint64_t kSeed = 0x5eed;
 
 /** Precomputed per-subset data for incremental energy updates. */
 struct SubsetInfo
@@ -38,8 +46,7 @@ subsetWeight(const SubsetInfo &subset,
 
 AnnealingResult
 annealPairing(const enc::FermionEncoding &base,
-              const fermion::FermionHamiltonian &hamiltonian,
-              const AnnealingOptions &options)
+              const fermion::FermionHamiltonian &hamiltonian)
 {
     require(base.modes == hamiltonian.modes(),
             "annealPairing: encoding/Hamiltonian mode mismatch");
@@ -95,7 +102,7 @@ annealPairing(const enc::FermionEncoding &base,
         return result;
     }
 
-    Rng rng(options.seed);
+    Rng rng(kSeed);
     std::vector<std::uint32_t> best_assignment = assignment;
     std::size_t best_energy = energy;
 
@@ -104,10 +111,10 @@ annealPairing(const enc::FermionEncoding &base,
     std::vector<std::size_t> new_weights;
     std::vector<char> seen(subsets.size(), 0);
 
-    double temperature = options.initialTemperature;
-    while (temperature >= options.finalTemperature) {
-        for (std::size_t iter = 0;
-             iter < options.iterationsPerTemperature; ++iter) {
+    double temperature = kInitialTemperature;
+    while (temperature >= kFinalTemperature) {
+        for (std::size_t iter = 0; iter < kProposalsPerTemperature;
+             ++iter) {
             const auto a = static_cast<std::size_t>(
                 rng.nextBelow(modes));
             auto b = static_cast<std::size_t>(
@@ -163,7 +170,7 @@ annealPairing(const enc::FermionEncoding &base,
             for (const std::uint32_t id : touched)
                 seen[id] = 0;
         }
-        temperature -= options.temperatureStep;
+        temperature -= kTemperatureStep;
     }
 
     result.assignment = best_assignment;

@@ -16,7 +16,9 @@
  *  - finalCost <= initialCost always (the best assignment seen is
  *    returned, not the last accepted one), and both are exact
  *    hamiltonianPauliWeight() values.
- *  - Runs are deterministic in AnnealingOptions::seed.
+ *  - Runs are deterministic: Algorithm 2's schedule and the RNG
+ *    seed are constants in annealing.cpp, so equal inputs give
+ *    equal results.
  */
 
 #ifndef FERMIHEDRAL_CORE_ANNEALING_H
@@ -25,26 +27,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "encodings/encoding.h"
 #include "fermion/operators.h"
 
 namespace fermihedral::core {
-
-/** Annealing schedule parameters (paper's T0, T1, alpha, i). */
-struct AnnealingOptions
-{
-    /** Initial temperature. */
-    double initialTemperature = 40.0;
-    /** Final temperature. */
-    double finalTemperature = 0.5;
-    /** Linear temperature decrement per outer step. */
-    double temperatureStep = 0.5;
-    /** Proposals per temperature. */
-    std::size_t iterationsPerTemperature = 200;
-    /** RNG seed (deterministic runs). */
-    std::uint64_t seed = 0x5eed;
-};
 
 /** Result of an annealing run. */
 struct AnnealingResult
@@ -69,8 +55,7 @@ struct AnnealingResult
  */
 AnnealingResult annealPairing(
     const enc::FermionEncoding &base,
-    const fermion::FermionHamiltonian &hamiltonian,
-    const AnnealingOptions &options = {});
+    const fermion::FermionHamiltonian &hamiltonian);
 
 } // namespace fermihedral::core
 

@@ -1,7 +1,7 @@
 #include "hw/router.h"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -10,6 +10,12 @@
 namespace fermihedral::hw {
 
 namespace {
+
+/** Upcoming two-qubit gates scored when ranking a SWAP. */
+constexpr std::size_t kLookahead = 8;
+
+/** Seed of the tie-break between equally-scored SWAP candidates. */
+constexpr std::uint64_t kTieBreakSeed = 0;
 
 /** Counter handles resolved once (same idiom as ServiceMetrics). */
 struct RouterMetrics
@@ -61,27 +67,22 @@ struct Layout
 /**
  * Lookahead score of a candidate placement: the current gate's
  * endpoint distance plus geometrically-decaying distances of the
- * next few CNOTs. Scaled integers keep the comparison exact (and
- * therefore deterministic across platforms).
+ * upcoming CNOTs in the window. Scaled integers keep the comparison
+ * exact (and therefore deterministic across platforms).
  */
 std::uint64_t
 placementScore(const Layout &state, const Topology &topology,
-               const std::vector<const circuit::Gate *> &upcoming,
-               std::size_t lookahead)
+               const std::vector<const circuit::Gate *> &upcoming)
 {
-    // decay 1/2 per step, fixed point with 16 fractional bits.
+    // decay 1/2 per step, fixed point with 16 fractional bits; the
+    // window is short enough that no weight reaches zero.
+    static_assert(kLookahead < 16);
     std::uint64_t score = 0;
     std::uint64_t weight = std::uint64_t(1) << 16;
-    const std::size_t horizon =
-        std::min(lookahead + 1, upcoming.size());
-    for (std::size_t i = 0; i < horizon; ++i) {
-        const auto &gate = *upcoming[i];
-        const std::uint32_t d = topology.distance(
-            state.layout[gate.qubit0], state.layout[gate.qubit1]);
-        score += weight * d;
+    for (const circuit::Gate *gate : upcoming) {
+        score += weight * topology.distance(state.layout[gate->qubit0],
+                                            state.layout[gate->qubit1]);
         weight >>= 1;
-        if (weight == 0)
-            break;
     }
     return score;
 }
@@ -90,7 +91,7 @@ placementScore(const Layout &state, const Topology &topology,
 
 RoutedCircuit
 routeCircuit(const circuit::Circuit &logical,
-             const Topology &topology, const RouterOptions &options)
+             const Topology &topology)
 {
     const std::size_t qubits = topology.numQubits();
     require(topology.connected(),
@@ -107,7 +108,7 @@ routeCircuit(const circuit::Circuit &logical,
     routed.physical = circuit::Circuit(qubits);
     Layout state(qubits);
     routed.initialLayout = state.layout;
-    Rng rng(options.seed);
+    Rng rng(kTieBreakSeed);
 
     // Upcoming CNOTs per gate position, for the lookahead window.
     const auto &gates = logical.gates();
@@ -139,7 +140,7 @@ routeCircuit(const circuit::Circuit &logical,
         upcoming.clear();
         for (std::size_t j = i;
              j < gates.size() &&
-             upcoming.size() <= options.lookahead;
+             upcoming.size() <= kLookahead;
              j = next_cnot[j + 1])
             upcoming.push_back(&gates[j]);
 
@@ -168,9 +169,8 @@ routeCircuit(const circuit::Circuit &logical,
                     state.layout[gate.qubit0],
                     state.layout[gate.qubit1]);
                 if (d_new < d) {
-                    const std::uint64_t score = placementScore(
-                        state, topology, upcoming,
-                        options.lookahead);
+                    const std::uint64_t score =
+                        placementScore(state, topology, upcoming);
                     if (score < best_score) {
                         best.clear();
                         best_score = score;

@@ -15,9 +15,10 @@
  *    simulator).
  *  - Every CNOT in the routed circuit (including SWAP expansions)
  *    acts on a topology edge.
- *  - Routing is deterministic: equal (circuit, topology, options)
- *    always produce identical gate lists; `seed` only steers
- *    tie-breaks between equally-scored SWAP candidates.
+ *  - Routing is deterministic: equal (circuit, topology) always
+ *    produce identical gate lists. The lookahead window and the
+ *    seed of the tie-break RNG between equally-scored SWAP
+ *    candidates are constants in router.cpp.
  *  - Every inserted SWAP strictly decreases the current CNOT's
  *    endpoint distance, so routing always terminates and
  *    stats.twoQubitGates == input CNOTs + 3 * stats.swaps.
@@ -33,16 +34,6 @@
 #include "hw/topology.h"
 
 namespace fermihedral::hw {
-
-/** Tuning knobs for routeCircuit. */
-struct RouterOptions
-{
-    /** Upcoming two-qubit gates scored when ranking a SWAP. */
-    std::size_t lookahead = 8;
-
-    /** Tie-break seed between equally-scored SWAP candidates. */
-    std::uint64_t seed = 0;
-};
 
 /** Cost metrics of a routed circuit. */
 struct RoutedStats
@@ -80,8 +71,7 @@ struct RoutedCircuit
  * hw.route trace span and moves the hw.routed.* counters.
  */
 RoutedCircuit routeCircuit(const circuit::Circuit &logical,
-                           const Topology &topology,
-                           const RouterOptions &options = {});
+                           const Topology &topology);
 
 } // namespace fermihedral::hw
 

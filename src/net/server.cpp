@@ -33,8 +33,8 @@ struct EncodingServer::ConnState
     Connection conn;
 
     ConnState(EncodingServer *server, std::uint64_t conn_id,
-              int conn_fd, const std::string &banner)
-        : id(conn_id), fd(conn_fd), conn(handler, banner)
+              int conn_fd)
+        : id(conn_id), fd(conn_fd), conn(handler, "fermihedrald")
     {
         handler.server = server;
         handler.connId = conn_id;
@@ -177,8 +177,7 @@ EncodingServer::acceptAll(int listener_fd)
         setTcpNoDelay(fd);
         const std::uint64_t id = nextConnId++;
         connections.emplace(
-            id, std::make_unique<ConnState>(this, id, fd,
-                                            options.banner));
+            id, std::make_unique<ConnState>(this, id, fd));
         fdIndex.emplace(fd, id);
     }
 }

@@ -68,9 +68,6 @@ struct ServerOptions
     /** File mode applied to the unix socket (default 0600). */
     unsigned unixMode = 0600;
 
-    /** Banner echoed in WELCOME frames. */
-    std::string banner = "fermihedrald";
-
     /** The wrapped CompilerService's configuration. */
     api::ServiceOptions service;
 };

@@ -72,17 +72,6 @@ readGroup(const MeasurementPlan::Group &group, std::uint64_t bits)
 
 } // namespace
 
-StateVector
-runNoisyTrajectory(const circuit::Circuit &circuit,
-                   const StateVector &initial,
-                   const NoiseModel &noise, Rng &rng)
-{
-    // Minimal placeholder; the Into call assigns `initial` itself.
-    StateVector state(1);
-    runNoisyTrajectoryInto(circuit, initial, noise, rng, state);
-    return state;
-}
-
 void
 runNoisyTrajectoryInto(const circuit::Circuit &circuit,
                        const StateVector &initial,
@@ -223,18 +212,6 @@ sampleEnergy(const StateVector &state, const MeasurementPlan &plan,
         energy += readGroup(group, bits);
     }
     return energy;
-}
-
-EnergyStatistics
-measureEnergy(const circuit::Circuit &circuit,
-              const StateVector &initial,
-              const pauli::PauliSum &hamiltonian,
-              const NoiseModel &noise, std::size_t shots, Rng &rng,
-              std::size_t threads)
-{
-    ThreadPool pool(threads);
-    return measureEnergy(circuit, initial, hamiltonian, noise,
-                         shots, rng, pool);
 }
 
 EnergyStatistics

@@ -71,15 +71,8 @@ struct NoiseModel
 /**
  * Run one noisy trajectory of the circuit from `initial`: apply each
  * gate, then with the channel probability inject a uniformly random
- * non-identity Pauli error on the touched qubit(s).
- */
-StateVector runNoisyTrajectory(const circuit::Circuit &circuit,
-                               const StateVector &initial,
-                               const NoiseModel &noise, Rng &rng);
-
-/**
- * Allocation-free variant for shot loops: `out` is overwritten with
- * the trajectory's final state, reusing its amplitude buffer.
+ * non-identity Pauli error on the touched qubit(s). `out` is
+ * overwritten with the final state, reusing its amplitude buffer.
  */
 void runNoisyTrajectoryInto(const circuit::Circuit &circuit,
                             const StateVector &initial,
@@ -186,17 +179,6 @@ EnergyStatistics measureEnergy(const circuit::Circuit &circuit,
                                const NoiseModel &noise,
                                std::size_t shots, Rng &rng,
                                ThreadPool &pool);
-
-/**
- * Convenience overload constructing a throwaway pool of `threads`
- * threads (0 = hardware concurrency) for this one experiment.
- */
-EnergyStatistics measureEnergy(const circuit::Circuit &circuit,
-                               const StateVector &initial,
-                               const pauli::PauliSum &hamiltonian,
-                               const NoiseModel &noise,
-                               std::size_t shots, Rng &rng,
-                               std::size_t threads = 1);
 
 } // namespace fermihedral::sim
 

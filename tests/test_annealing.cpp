@@ -57,14 +57,12 @@ TEST(Annealing, AssignmentIsAPermutation)
     }
 }
 
-TEST(Annealing, DeterministicForEqualSeeds)
+TEST(Annealing, DeterministicForEqualInputs)
 {
     const auto h = fermion::fermiHubbard1D(4, 1.0, 4.0);
     const auto base = enc::bravyiKitaev(h.modes());
-    AnnealingOptions options;
-    options.seed = 123;
-    const auto a = annealPairing(base, h, options);
-    const auto b = annealPairing(base, h, options);
+    const auto a = annealPairing(base, h);
+    const auto b = annealPairing(base, h);
     EXPECT_EQ(a.finalCost, b.finalCost);
     EXPECT_EQ(a.assignment, b.assignment);
 }
@@ -98,10 +96,21 @@ TEST(Annealing, FindsObviousImprovement)
     std::swap(base.majoranas[2], base.majoranas[4]);
     std::swap(base.majoranas[3], base.majoranas[5]);
 
-    AnnealingOptions options;
-    options.iterationsPerTemperature = 50;
-    const auto result = annealPairing(base, h, options);
+    const auto result = annealPairing(base, h);
     EXPECT_LT(result.finalCost, result.initialCost);
+}
+
+TEST(Annealing, ProductionSchedulePinned)
+{
+    // The schedule and seed are constants: a mistyped T0, T1, step,
+    // proposal count or seed moves these numbers. 80 temperatures
+    // (40 down to 0.5 in steps of 0.5) x 200 proposals = 16000.
+    const auto h = fermion::fermiHubbard1D(4, 1.0, 4.0);
+    const auto result = annealPairing(enc::bravyiKitaev(8), h);
+    EXPECT_EQ(result.initialCost, 320u);
+    EXPECT_EQ(result.finalCost, 264u);
+    EXPECT_EQ(result.proposals, 16000u);
+    EXPECT_EQ(result.accepted, 8869u);
 }
 
 TEST(Annealing, AcceptanceStatisticsAreTracked)

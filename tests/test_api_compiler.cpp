@@ -15,6 +15,7 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "api/model_spec.h"
 #include "api/serialize.h"
 #include "api/service.h"
 #include "api/strategy_registry.h"
@@ -221,6 +222,55 @@ TEST(Compiler, ObjectiveMismatchIsFatal)
     EXPECT_THROW(Compiler().compile(total), FatalError);
 }
 
+/** The FatalError message `call` throws ("" when it returns). */
+template <typename Call>
+std::string
+fatalMessage(Call &&call)
+{
+    try {
+        call();
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(CompilerService, RejectsInvalidRequestsWithCompilersDiagnostic)
+{
+    // No modes, and 4 modes on a 2-qubit topology: caller errors
+    // every entry point reports on the caller's thread with one
+    // diagnostic, never as an Error result carrying internal text.
+    CompilationRequest narrow = fastRequest(4, "bravyi-kitaev");
+    narrow.topology = hw::Topology::linear(2);
+    const std::vector<std::pair<CompilationRequest, std::string>>
+        cases = {
+            {fastRequest(0, "bravyi-kitaev"),
+             "CompilationRequest needs modes > 0 or a Hamiltonian"},
+            {narrow, "topology 'linear:2' has 2 qubits but the "
+                     "problem needs 4"},
+        };
+    CompilerService service;
+    for (const auto &[request, diagnostic] : cases) {
+        EXPECT_EQ(requestDiagnostic(request), diagnostic);
+        EXPECT_EQ(fatalMessage([&] { Compiler().compile(request); }),
+                  diagnostic);
+        EXPECT_EQ(fatalMessage([&] { service.compile(request); }),
+                  diagnostic);
+        EXPECT_EQ(fatalMessage([&] { service.submit(request); }),
+                  diagnostic);
+    }
+    EXPECT_EQ(service.serviceStats().submitted, 0u);
+
+    // The wire path words the topology case the same way.
+    RequestSpec spec;
+    spec.problem = "modes:4";
+    spec.strategy = "bravyi-kitaev";
+    spec.topology = "linear:2";
+    std::string error;
+    EXPECT_FALSE(tryBuildRequest(spec, &error).has_value());
+    EXPECT_EQ(error, cases[1].second);
+}
+
 TEST(CompilerService, WarmCacheHitIsBitIdenticalWithoutSat)
 {
     CompilerService service;
@@ -230,7 +280,6 @@ TEST(CompilerService, WarmCacheHitIsBitIdenticalWithoutSat)
     ASSERT_FALSE(cold.fromCache);
     EXPECT_GT(cold.satCalls, 0u);
     auto stats = service.cacheStats();
-    EXPECT_EQ(stats.computes, 1u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 0u);
 
@@ -238,7 +287,7 @@ TEST(CompilerService, WarmCacheHitIsBitIdenticalWithoutSat)
     EXPECT_TRUE(warm.fromCache);
     stats = service.cacheStats();
     // No strategy execution => no SAT call happened anywhere.
-    EXPECT_EQ(stats.computes, 1u);
+    EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 1u);
     // Bit-identical in every serialized field (the provenance
     // keeps the original solve's SAT-call count).
@@ -257,7 +306,7 @@ TEST(CompilerService, HamiltonianWarmHitReproducesMappedResult)
     const auto cold = service.compile(request);
     const auto warm = service.compile(request);
     EXPECT_TRUE(warm.fromCache);
-    EXPECT_EQ(service.cacheStats().computes, 1u);
+    EXPECT_EQ(service.cacheStats().misses, 1u);
     EXPECT_EQ(serializeResult(warm), serializeResult(cold));
     EXPECT_GT(warm.qubitHamiltonian.size(), 0u);
     EXPECT_FALSE(warm.measurementGroups.empty());
@@ -366,7 +415,7 @@ TEST(CompilerService, LruEvictsLeastRecentlyUsed)
     EXPECT_EQ(stats.evictions, 1u);
     service.compile(fastRequest(3, "jordan-wigner")); // miss again
     stats = service.cacheStats();
-    EXPECT_EQ(stats.computes, 4u);
+    EXPECT_EQ(stats.misses, 4u);
     EXPECT_EQ(stats.hits, 1u);
 }
 
@@ -381,7 +430,7 @@ TEST(CompilerService, DiskCacheSurvivesRestartAndRejectsCorruption)
     {
         CompilerService service(options);
         cold_text = serializeResult(service.compile(request));
-        EXPECT_EQ(service.cacheStats().computes, 1u);
+        EXPECT_EQ(service.cacheStats().misses, 1u);
     }
 
     // A fresh service (cold memory) must answer from disk.
@@ -390,7 +439,7 @@ TEST(CompilerService, DiskCacheSurvivesRestartAndRejectsCorruption)
         const auto warm = service.compile(request);
         EXPECT_TRUE(warm.fromCache);
         const auto stats = service.cacheStats();
-        EXPECT_EQ(stats.computes, 0u);
+        EXPECT_EQ(stats.misses, 0u);
         EXPECT_EQ(stats.diskHits, 1u);
         EXPECT_EQ(serializeResult(warm), cold_text);
     }
@@ -408,7 +457,7 @@ TEST(CompilerService, DiskCacheSurvivesRestartAndRejectsCorruption)
         EXPECT_FALSE(recomputed.fromCache);
         const auto stats = service.cacheStats();
         EXPECT_EQ(stats.corrupted, 1u);
-        EXPECT_EQ(stats.computes, 1u);
+        EXPECT_EQ(stats.misses, 1u);
         EXPECT_EQ(serializeResult(recomputed), cold_text);
 
         CompilerService fresh(options);
@@ -482,7 +531,7 @@ TEST(CompilerService, CacheStatsJsonIsWellFormed)
     const std::string json = service.cacheStatsJson();
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
-    EXPECT_NE(json.find("\"computes\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"misses\":1"), std::string::npos);
     EXPECT_NE(json.find("\"hits\":0"), std::string::npos);
 }
 

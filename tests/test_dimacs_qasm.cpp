@@ -1,21 +1,16 @@
 /**
  * @file
- * Tests for the interchange formats (DIMACS CNF, OpenQASM 2.0) and
- * the second-order Trotter extension.
+ * Tests for the DIMACS CNF interchange format.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
-#include "circuit/pauli_compiler.h"
-#include "circuit/qasm.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/encoding_model.h"
 #include "sat/dimacs.h"
-#include "sim/statevector.h"
 
 namespace fermihedral {
 namespace {
@@ -191,99 +186,6 @@ TEST(Dimacs, SnapshotEmitsOnlyProblemClauses)
     for (std::size_t i = 0; i < after.clauses.size(); ++i)
         EXPECT_EQ(parsed.clauses[i], after.clauses[i])
             << "clause " << i;
-}
-
-TEST(Qasm, ContainsHeaderAndGates)
-{
-    circuit::Circuit c(2);
-    c.add(circuit::GateKind::H, 0);
-    c.add(circuit::GateKind::Rz, 1, 0.5);
-    c.addCnot(0, 1);
-    const std::string qasm = circuit::toQasm(c);
-    EXPECT_NE(qasm.find("OPENQASM 2.0;"), std::string::npos);
-    EXPECT_NE(qasm.find("qreg q[2];"), std::string::npos);
-    EXPECT_NE(qasm.find("h q[0];"), std::string::npos);
-    EXPECT_NE(qasm.find("rz(0.5) q[1];"), std::string::npos);
-    EXPECT_NE(qasm.find("cx q[0], q[1];"), std::string::npos);
-    EXPECT_EQ(qasm.find("creg"), std::string::npos);
-}
-
-TEST(Qasm, MeasurementVariantAddsClassicalRegister)
-{
-    circuit::Circuit c(3);
-    c.add(circuit::GateKind::X, 2);
-    const std::string qasm = circuit::toQasm(c, true);
-    EXPECT_NE(qasm.find("creg c[3];"), std::string::npos);
-    EXPECT_NE(qasm.find("measure q -> c;"), std::string::npos);
-}
-
-TEST(SecondOrderTrotter, BeatsFirstOrderAccuracy)
-{
-    Rng rng(55);
-    pauli::PauliSum h(3);
-    h.add(0.8, pauli::PauliString::fromLabel("XXI"));
-    h.add(-0.6, pauli::PauliString::fromLabel("IZZ"));
-    h.add(0.4, pauli::PauliString::fromLabel("YIY"));
-    h.simplify();
-
-    // Reference: fine-grained first-order evolution.
-    circuit::CompileOptions fine;
-    fine.trotterSteps = 1024;
-    const auto reference = circuit::compileTrotter(h, 1.0, fine);
-
-    std::vector<sim::Amplitude> amps(8);
-    for (auto &amp : amps)
-        amp = sim::Amplitude(rng.nextGaussian(),
-                             rng.nextGaussian());
-    sim::StateVector psi(3, amps);
-    psi.normalize();
-
-    sim::StateVector exact = psi;
-    exact.applyCircuit(reference);
-
-    auto error_of = [&](circuit::TrotterOrder order,
-                        std::size_t steps) {
-        circuit::CompileOptions options;
-        options.trotterOrder = order;
-        options.trotterSteps = steps;
-        const auto c = circuit::compileTrotter(h, 1.0, options);
-        sim::StateVector s = psi;
-        s.applyCircuit(c);
-        double sum = 0.0;
-        for (std::size_t i = 0; i < s.dimension(); ++i)
-            sum += std::norm(s.amplitudes()[i] -
-                             exact.amplitudes()[i]);
-        return std::sqrt(sum);
-    };
-
-    for (std::size_t steps : {2u, 4u}) {
-        EXPECT_LT(error_of(circuit::TrotterOrder::Second, steps),
-                  error_of(circuit::TrotterOrder::First, steps))
-            << "steps=" << steps;
-    }
-    // Second order converges ~quadratically: 4x steps ~ 16x error.
-    const double e2 = error_of(circuit::TrotterOrder::Second, 2);
-    const double e8 = error_of(circuit::TrotterOrder::Second, 8);
-    EXPECT_LT(e8, e2 / 8.0);
-}
-
-TEST(SecondOrderTrotter, SymmetricStepMergesBoundaryRotation)
-{
-    // The backward half-step starts with the same term the forward
-    // half ended with, so the optimizer merges the two rotations:
-    // the optimized symmetric circuit must be smaller than twice
-    // the half-step circuit.
-    pauli::PauliSum h(2);
-    h.add(0.3, pauli::PauliString::fromLabel("XX"));
-    h.add(0.7, pauli::PauliString::fromLabel("ZZ"));
-    h.simplify();
-
-    circuit::CompileOptions second;
-    second.trotterOrder = circuit::TrotterOrder::Second;
-    circuit::CompileOptions first;
-    const auto c2 = circuit::compileTrotter(h, 1.0, second);
-    const auto c1 = circuit::compileTrotter(h, 1.0, first);
-    EXPECT_LT(c2.size(), 2 * c1.size());
 }
 
 } // namespace

@@ -146,13 +146,6 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(out.find("+--"), std::string::npos);
 }
 
-TEST(Table, CsvHasNoPadding)
-{
-    Table table({"a", "b"});
-    table.addRow({"1", "2"});
-    EXPECT_EQ(table.renderCsv(), "a,b\n1,2\n");
-}
-
 TEST(Table, RowWidthMismatchPanics)
 {
     Table table({"a", "b"});

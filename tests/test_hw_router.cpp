@@ -5,7 +5,7 @@
  * permutation (checked against the dense statevector simulator),
  * place every CNOT on a topology edge, obey the
  * twoQubitGates == CNOTs + 3 * swaps accounting, and be
- * deterministic for equal (circuit, topology, options).
+ * deterministic for equal (circuit, topology).
  */
 
 #include <gtest/gtest.h>
@@ -130,11 +130,7 @@ TEST(Router, FuzzedCircuitsRoutePermutationEquivalent)
         const auto logical = randomCircuit(
             wires, 5 + rng.nextBelow(26), rng);
 
-        RouterOptions options;
-        options.lookahead = rng.nextBelow(10);
-        options.seed = rng.nextBelow(1000);
-        const auto routed =
-            routeCircuit(logical, topology, options);
+        const auto routed = routeCircuit(logical, topology);
 
         // Edge legality: every routed CNOT acts on an edge.
         for (const auto &gate : routed.physical.gates()) {
@@ -173,12 +169,8 @@ TEST(Router, EqualInputsRouteIdentically)
         const std::size_t n = 3 + rng.nextBelow(5);
         const auto topology = randomConnected(n, rng);
         const auto logical = randomCircuit(n, 25, rng);
-        RouterOptions options;
-        options.seed = iteration;
-
-        const auto first = routeCircuit(logical, topology, options);
-        const auto second =
-            routeCircuit(logical, topology, options);
+        const auto first = routeCircuit(logical, topology);
+        const auto second = routeCircuit(logical, topology);
         ASSERT_EQ(first.physical.size(), second.physical.size());
         for (std::size_t i = 0; i < first.physical.size(); ++i) {
             const auto &a = first.physical.gates()[i];
@@ -197,7 +189,7 @@ TEST(Router, DistanceTwoCnotCostsOneSwap)
     circuit::Circuit logical(3);
     logical.addCnot(0, 2);
     const auto routed =
-        routeCircuit(logical, Topology::linear(3), {});
+        routeCircuit(logical, Topology::linear(3));
     EXPECT_EQ(routed.stats.swaps, 1u);
     EXPECT_EQ(routed.stats.twoQubitGates, 4u);
     expectPermutationEquivalent(logical, Topology::linear(3),
@@ -216,7 +208,7 @@ TEST(Router, AdjacentCircuitsRouteSwapFree)
     logical.addCnot(2, 3);
     logical.addCnot(1, 2);
     const auto routed =
-        routeCircuit(logical, Topology::linear(4), {});
+        routeCircuit(logical, Topology::linear(4));
     EXPECT_EQ(routed.stats.swaps, 0u);
     EXPECT_EQ(routed.physical.size(), logical.size());
     EXPECT_EQ(routed.finalLayout, routed.initialLayout);
@@ -226,14 +218,14 @@ TEST(Router, InvalidInputsAreFatal)
 {
     circuit::Circuit wide(5);
     wide.addCnot(0, 4);
-    EXPECT_THROW(routeCircuit(wide, Topology::linear(3), {}),
+    EXPECT_THROW(routeCircuit(wide, Topology::linear(3)),
                  PanicError);
 
     const auto disconnected =
         Topology::fromEdges(4, {{0, 1}, {2, 3}});
     circuit::Circuit c(4);
     c.addCnot(0, 3);
-    EXPECT_THROW(routeCircuit(c, disconnected, {}), PanicError);
+    EXPECT_THROW(routeCircuit(c, disconnected), PanicError);
 }
 
 } // namespace

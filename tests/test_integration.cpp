@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "circuit/pauli_compiler.h"
+#include "common/parallel.h"
 #include "core/annealing.h"
 #include "core/descent_solver.h"
 #include "encodings/encoding.h"
 #include "encodings/linear.h"
 #include "fermion/fock.h"
 #include "fermion/models.h"
+#include "hw/router.h"
 #include "sim/exact.h"
 #include "sim/noise.h"
 
@@ -78,10 +80,7 @@ TEST(Integration, EigenstateStationaryUnderNoiselessEvolution)
     const auto eigen = sim::eigendecompose(qubit_h);
     for (std::size_t level : {0u, 1u, 3u}) {
         const auto initial = eigen.state(level);
-        circuit::CompileOptions copts;
-        copts.trotterSteps = 4;
-        const auto circuit =
-            circuit::compileTrotter(qubit_h, 1.0, copts);
+        const auto circuit = circuit::compileTrotter(qubit_h, 1.0, 4);
         sim::StateVector evolved = initial;
         evolved.applyCircuit(circuit);
         // Energy is conserved up to Trotter error.
@@ -89,6 +88,35 @@ TEST(Integration, EigenstateStationaryUnderNoiselessEvolution)
                     eigen.values[level], 0.05)
             << "level " << level;
     }
+}
+
+TEST(Integration, H2TrotterCompileAndRoutePinned)
+{
+    // The term order, peephole passes, router lookahead and
+    // tie-break seed are constants: a mistyped one moves these
+    // counts.
+    const auto h2 = fermion::h2Sto3gIntegrals().toHamiltonian();
+    const auto qubit_h = enc::mapToQubits(h2, enc::bravyiKitaev(4));
+    const auto circuit = circuit::compileTrotter(qubit_h, 1.0);
+    const auto costs = circuit.costs();
+    EXPECT_EQ(costs.singleQubitGates, 26u);
+    EXPECT_EQ(costs.cnotGates, 40u);
+    EXPECT_EQ(costs.totalGates, 66u);
+    EXPECT_EQ(costs.depth, 57u);
+
+    const auto grid =
+        hw::routeCircuit(circuit, hw::Topology::grid(2, 4)).stats;
+    EXPECT_EQ(grid.swaps, 9u);
+    EXPECT_EQ(grid.twoQubitGates, 67u);
+    EXPECT_EQ(grid.singleQubitGates, 26u);
+    EXPECT_EQ(grid.depth, 80u);
+
+    const auto hex =
+        hw::routeCircuit(circuit, hw::Topology::heavyHex(1)).stats;
+    EXPECT_EQ(hex.swaps, 13u);
+    EXPECT_EQ(hex.twoQubitGates, 79u);
+    EXPECT_EQ(hex.singleQubitGates, 26u);
+    EXPECT_EQ(hex.depth, 89u);
 }
 
 TEST(Integration, NoiseDriftsEnergyUpFromGroundState)
@@ -104,13 +132,14 @@ TEST(Integration, NoiseDriftsEnergyUpFromGroundState)
     const auto circuit = circuit::compileTrotter(qubit_h, 1.0);
 
     Rng rng(21);
+    ThreadPool pool(1);
     sim::NoiseModel low, high;
     low.twoQubitError = 1e-4;
     high.twoQubitError = 3e-2;
     const auto low_stats = sim::measureEnergy(
-        circuit, initial, qubit_h, low, 150, rng);
+        circuit, initial, qubit_h, low, 150, rng, pool);
     const auto high_stats = sim::measureEnergy(
-        circuit, initial, qubit_h, high, 150, rng);
+        circuit, initial, qubit_h, high, 150, rng, pool);
     EXPECT_GT(high_stats.mean, low_stats.mean);
     EXPECT_GE(high_stats.mean, eigen.values[0] - 0.05);
 }
@@ -138,10 +167,8 @@ TEST(Integration, SatPlusAnnealingBeatsUnpairedOnSyk)
     core::DescentSolver solver(syk.modes(), fastOptions());
     const auto independent = solver.solve();
 
-    core::AnnealingOptions aopts;
-    aopts.seed = 99;
     const auto annealed =
-        core::annealPairing(independent.encoding, syk, aopts);
+        core::annealPairing(independent.encoding, syk);
     EXPECT_LE(annealed.finalCost,
               enc::hamiltonianPauliWeight(syk,
                                           independent.encoding));
@@ -158,14 +185,17 @@ TEST(Integration, WeightReductionTranslatesToGateReduction)
     const auto jw_weight = enc::hamiltonianPauliWeight(h, jw);
     const auto bk_weight = enc::hamiltonianPauliWeight(h, bk);
 
-    circuit::CompileOptions raw;
-    raw.optimize = false;
-    const auto jw_gates =
-        circuit::compileTrotter(enc::mapToQubits(h, jw), 1.0, raw)
-            .costs();
-    const auto bk_gates =
-        circuit::compileTrotter(enc::mapToQubits(h, bk), 1.0, raw)
-            .costs();
+    // One unoptimized Figure 3 block per term.
+    const auto raw_costs = [&](const enc::FermionEncoding &encoding) {
+        const auto qubit_h = enc::mapToQubits(h, encoding);
+        circuit::Circuit raw(qubit_h.numQubits());
+        for (const auto &term : qubit_h.terms())
+            circuit::appendPauliEvolution(raw, term.string,
+                                          term.coefficient.real());
+        return raw.costs();
+    };
+    const auto jw_gates = raw_costs(jw);
+    const auto bk_gates = raw_costs(bk);
     if (jw_weight < bk_weight) {
         EXPECT_LE(jw_gates.totalGates, bk_gates.totalGates);
     } else if (bk_weight < jw_weight) {

@@ -185,7 +185,7 @@ TEST_F(NetDaemonTest, ShardedStoreSurvivesRestartWithoutRecompute)
             EXPECT_EQ(client.compile(++id, spec).status,
                       api::ResultStatus::Ok);
         }
-        EXPECT_EQ(daemon.server.service().cacheStats().computes,
+        EXPECT_EQ(daemon.server.service().cacheStats().misses,
                   problems.size());
     }
 
@@ -210,7 +210,7 @@ TEST_F(NetDaemonTest, ShardedStoreSurvivesRestartWithoutRecompute)
     EXPECT_GT(audit.bytes, 0u);
 
     // A restarted daemon on the same store serves everything from
-    // disk: zero computes — the CI warm assertion, in miniature.
+    // disk: zero misses — the CI warm assertion, in miniature.
     {
         RunningDaemon daemon(options);
         EncodingClient client =
@@ -225,7 +225,7 @@ TEST_F(NetDaemonTest, ShardedStoreSurvivesRestartWithoutRecompute)
         }
         const api::CacheStats stats =
             daemon.server.service().cacheStats();
-        EXPECT_EQ(stats.computes, 0u);
+        EXPECT_EQ(stats.misses, 0u);
         EXPECT_EQ(stats.diskHits, problems.size());
     }
 }

@@ -33,8 +33,8 @@ TEST(Noise, IdealTrajectoryIsDeterministic)
     Rng rng(1);
     const Circuit c = ghzCircuit(3);
     const StateVector initial(3);
-    const auto out =
-        runNoisyTrajectory(c, initial, NoiseModel::ideal(), rng);
+    StateVector out(3);
+    runNoisyTrajectoryInto(c, initial, NoiseModel::ideal(), rng, out);
     StateVector expected(3);
     expected.applyCircuit(c);
     EXPECT_NEAR(out.fidelity(expected), 1.0, 1e-12);
@@ -52,10 +52,11 @@ TEST(Noise, DepolarizingReducesAverageFidelity)
     noisy.twoQubitError = 0.05;
 
     Rng rng(2);
+    StateVector out(4);
     double fidelity_sum = 0.0;
     const int trajectories = 300;
     for (int t = 0; t < trajectories; ++t) {
-        const auto out = runNoisyTrajectory(c, initial, noisy, rng);
+        runNoisyTrajectoryInto(c, initial, noisy, rng, out);
         fidelity_sum += out.fidelity(expected);
     }
     const double average = fidelity_sum / trajectories;
@@ -74,11 +75,13 @@ TEST(Noise, HigherErrorRatesHurtMore)
         NoiseModel noise;
         noise.twoQubitError = p2;
         Rng rng(seed);
+        StateVector out(4);
         double sum = 0.0;
         const int trajectories = 400;
-        for (int t = 0; t < trajectories; ++t)
-            sum += runNoisyTrajectory(c, initial, noise, rng)
-                       .fidelity(expected);
+        for (int t = 0; t < trajectories; ++t) {
+            runNoisyTrajectoryInto(c, initial, noise, rng, out);
+            sum += out.fidelity(expected);
+        }
         return sum / trajectories;
     };
     EXPECT_GT(average_fidelity(0.01, 3), average_fidelity(0.2, 4));
@@ -135,8 +138,10 @@ TEST(Noise, MeasureEnergyStatisticsShape)
     h.simplify();
 
     Rng rng(7);
+    ThreadPool pool(1);
     const auto stats = measureEnergy(c, initial, h,
-                                     NoiseModel::ideal(), 500, rng);
+                                     NoiseModel::ideal(), 500, rng,
+                                     pool);
     EXPECT_EQ(stats.shots, 500u);
     // GHZ: ZZ is +1 always.
     EXPECT_NEAR(stats.mean, 1.0, 1e-9);
@@ -153,12 +158,13 @@ TEST(Noise, NoisyMeasurementIncreasesVariance)
     h.simplify();
 
     Rng rng_a(8), rng_b(9);
+    ThreadPool pool(1);
     const auto clean = measureEnergy(c, initial, h,
                                      NoiseModel::ideal(), 400,
-                                     rng_a);
+                                     rng_a, pool);
     NoiseModel noisy = NoiseModel::ionqAria1();
     const auto degraded =
-        measureEnergy(c, initial, h, noisy, 400, rng_b);
+        measureEnergy(c, initial, h, noisy, 400, rng_b, pool);
     EXPECT_GE(degraded.standardDeviation,
               clean.standardDeviation - 1e-9);
     EXPECT_LT(degraded.mean, clean.mean + 1e-9);
@@ -251,8 +257,10 @@ TEST(Noise, MeasureEnergyReportsElapsedTime)
     h.add(1.0, pauli::PauliString::fromLabel("ZZ"));
     h.simplify();
     Rng rng(18);
+    ThreadPool pool(1);
     const auto stats = measureEnergy(c, initial, h,
-                                     NoiseModel::ideal(), 100, rng);
+                                     NoiseModel::ideal(), 100, rng,
+                                     pool);
     EXPECT_GT(stats.elapsedSeconds, 0.0);
     EXPECT_EQ(stats.shots, 100u);
 }

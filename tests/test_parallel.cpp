@@ -99,13 +99,15 @@ TEST(ParallelMeasure, BitIdenticalAcrossThreadCounts)
     noise.readoutError = 1e-2;
 
     Rng rng1(424242);
+    ThreadPool one(1);
     const auto serial = sim::measureEnergy(
-        w.circuit, w.initial, w.hamiltonian, noise, 400, rng1, 1);
+        w.circuit, w.initial, w.hamiltonian, noise, 400, rng1, one);
     for (const std::size_t threads : {2u, 4u, 8u}) {
         Rng rngN(424242);
+        ThreadPool pool(threads);
         const auto parallel = sim::measureEnergy(
             w.circuit, w.initial, w.hamiltonian, noise, 400, rngN,
-            threads);
+            pool);
         // Bit-identical, not merely close: same forked stream per
         // shot and an order-fixed reduction.
         EXPECT_EQ(parallel.mean, serial.mean)
@@ -125,11 +127,13 @@ TEST(ParallelMeasure, IdealFastPathBitIdenticalAcrossThreads)
     noise.readoutError = 5e-3;
 
     Rng rng1(99);
+    ThreadPool one(1);
     const auto serial = sim::measureEnergy(
-        w.circuit, w.initial, w.hamiltonian, noise, 300, rng1, 1);
+        w.circuit, w.initial, w.hamiltonian, noise, 300, rng1, one);
     Rng rng8(99);
+    ThreadPool eight(8);
     const auto parallel = sim::measureEnergy(
-        w.circuit, w.initial, w.hamiltonian, noise, 300, rng8, 8);
+        w.circuit, w.initial, w.hamiltonian, noise, 300, rng8, eight);
     EXPECT_EQ(parallel.mean, serial.mean);
     EXPECT_EQ(parallel.standardDeviation, serial.standardDeviation);
 }
@@ -144,16 +148,17 @@ TEST(ParallelMeasure, CallerRngAdvancesOncePerCall)
     noise.twoQubitError = 1e-2;
 
     Rng rng(7);
+    ThreadPool pool(2);
     const auto first = sim::measureEnergy(
-        w.circuit, w.initial, w.hamiltonian, noise, 200, rng, 2);
+        w.circuit, w.initial, w.hamiltonian, noise, 200, rng, pool);
     const auto second = sim::measureEnergy(
-        w.circuit, w.initial, w.hamiltonian, noise, 200, rng, 2);
+        w.circuit, w.initial, w.hamiltonian, noise, 200, rng, pool);
     EXPECT_NE(first.mean, second.mean);
 
     Rng reseeded(7);
     const auto repeat = sim::measureEnergy(
         w.circuit, w.initial, w.hamiltonian, noise, 200, reseeded,
-        2);
+        pool);
     EXPECT_EQ(repeat.mean, first.mean);
 }
 

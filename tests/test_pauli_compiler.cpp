@@ -108,15 +108,16 @@ TEST(PauliCompiler, OptimizedCircuitStillExact)
     h.add(0.2, pauli::PauliString::fromLabel("IYX"));
     h.simplify();
 
-    for (const TermOrder order :
-         {TermOrder::Natural, TermOrder::Lexicographic,
-          TermOrder::GreedyOverlap}) {
-        CompileOptions raw{order, false, 1};
-        CompileOptions opt{order, true, 1};
-        const Circuit c_raw = compileTrotter(h, 0.37, raw);
-        const Circuit c_opt = compileTrotter(h, 0.37, opt);
-        EXPECT_LE(c_opt.size(), c_raw.size());
+    // The unoptimized circuit: the same term sequence, block by
+    // block, without the peephole passes.
+    Circuit c_raw(qubits);
+    for (const auto &term : orderTerms(h))
+        appendPauliEvolution(c_raw, term.string,
+                             term.coefficient.real() * 0.37);
+    const Circuit c_opt = compileTrotter(h, 0.37);
+    EXPECT_LE(c_opt.size(), c_raw.size());
 
+    for (int trial = 0; trial < 3; ++trial) {
         const StateVector psi = randomState(qubits, rng);
         StateVector a = psi, b = psi;
         a.applyCircuit(c_raw);
@@ -190,18 +191,14 @@ TEST(PauliCompiler, MoreTrotterStepsReduceError)
     h.simplify();
 
     // Reference: many steps.
-    CompileOptions fine;
-    fine.trotterSteps = 512;
-    const Circuit reference = compileTrotter(h, 1.0, fine);
+    const Circuit reference = compileTrotter(h, 1.0, 512);
     const StateVector psi = randomState(2, rng);
     StateVector ref_state = psi;
     ref_state.applyCircuit(reference);
 
     double last_error = 1e9;
     for (std::size_t steps : {1u, 4u, 16u}) {
-        CompileOptions options;
-        options.trotterSteps = steps;
-        const Circuit c = compileTrotter(h, 1.0, options);
+        const Circuit c = compileTrotter(h, 1.0, steps);
         StateVector s = psi;
         s.applyCircuit(c);
         const double error = stateDistance(s, ref_state);
@@ -218,7 +215,7 @@ TEST(OrderTerms, GreedyCoversAllTerms)
     h.add(1.0, pauli::PauliString::fromLabel("XI"));
     h.add(1.0, pauli::PauliString::fromLabel("II")); // dropped
     h.simplify();
-    const auto ordered = orderTerms(h, TermOrder::GreedyOverlap);
+    const auto ordered = orderTerms(h);
     EXPECT_EQ(ordered.size(), 3u);
 }
 
@@ -233,12 +230,15 @@ TEST(OrderTerms, GreedyReducesGateCountOnStructuredInput)
     h.add(0.5, pauli::PauliString::fromLabel("XXII"));
     h.simplify();
 
-    CompileOptions natural{TermOrder::Natural, true, 1};
-    CompileOptions greedy{TermOrder::GreedyOverlap, true, 1};
-    const auto natural_cost =
-        compileTrotter(h, 1.0, natural).costs();
-    const auto greedy_cost = compileTrotter(h, 1.0, greedy).costs();
-    EXPECT_LE(greedy_cost.totalGates, natural_cost.totalGates);
+    // The natural-order circuit: the sum's canonical term order,
+    // through the same peephole passes.
+    Circuit natural(4);
+    for (const auto &term : h.terms())
+        appendPauliEvolution(natural, term.string,
+                             term.coefficient.real());
+    optimizeCircuit(natural);
+    const auto greedy_cost = compileTrotter(h, 1.0).costs();
+    EXPECT_LE(greedy_cost.totalGates, natural.costs().totalGates);
 }
 
 } // namespace

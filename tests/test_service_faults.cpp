@@ -209,7 +209,7 @@ TEST(ServiceFaults, PreCancelledRequestDegradesToBaseline)
               enc::bravyiKitaev(4).majoranas);
     EXPECT_EQ(result.satCalls, 0u);
     // The baseline answer never touched the cache.
-    EXPECT_EQ(service.cacheStats().computes, 0u);
+    EXPECT_EQ(service.cacheStats().misses, 0u);
     EXPECT_EQ(service.serviceStats().cancelled, 1u);
 }
 
@@ -389,7 +389,7 @@ TEST(ServiceFaults, IdenticalInflightRequestsComputeOnce)
     // The acceptance bar: identical concurrent specs ran the
     // strategy exactly once; everyone else shared it.
     EXPECT_EQ(blocker().executions.load(), 1);
-    EXPECT_EQ(service.cacheStats().computes, 1u);
+    EXPECT_EQ(service.cacheStats().misses, 1u);
     EXPECT_EQ(service.serviceStats().coalesced +
                   service.cacheStats().hits,
               3u);

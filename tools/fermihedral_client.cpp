@@ -193,7 +193,7 @@ main(int argc, char **argv)
     if (!stress->empty()) {
         // Stress mode: the same sweep every round, so round 1
         // populates the store and later rounds must be pure cache
-        // traffic (CI asserts computes do not move on warm runs).
+        // traffic (CI asserts misses do not move on warm runs).
         auto specs = api::expandWarmSpec(*stress);
         for (api::RequestSpec &spec : specs) {
             spec.stepTimeoutSeconds = *step_timeout;

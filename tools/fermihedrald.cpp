@@ -86,9 +86,6 @@ main(int argc, char **argv)
         "max-queue-depth", 64,
         "admission control: queued requests before shedding "
         "(0 = unbounded)");
-    const auto *banner = flags.addString(
-        "banner", "fermihedrald",
-        "server identification echoed in WELCOME frames");
     const auto *warm = flags.addString(
         "warm", "",
         "precompile an encoding library before serving, e.g. "
@@ -128,7 +125,6 @@ main(int argc, char **argv)
     options.unixMode = parseMode(*unix_mode);
     options.tcpHost = *tcp_host;
     options.tcpPort = static_cast<std::uint16_t>(*tcp_port);
-    options.banner = *banner;
     options.service.threads = static_cast<std::size_t>(*threads);
     options.service.cacheCapacity =
         static_cast<std::size_t>(*cache_capacity);

@@ -34,6 +34,23 @@ resultStatusName(ResultStatus status)
           static_cast<int>(status));
 }
 
+namespace {
+
+/** Why the request's explicit objective lacks its input, or "". */
+std::string
+objectiveDiagnostic(const CompilationRequest &request)
+{
+    if (request.objective == Objective::HamiltonianWeight &&
+        !request.hamiltonian)
+        return "objective 'hamiltonian-weight' needs a Hamiltonian";
+    if (request.objective == Objective::RoutedCost &&
+        !request.topology)
+        return "objective 'routed-cost' needs a topology";
+    return "";
+}
+
+} // namespace
+
 Objective
 CompilationRequest::resolvedObjective() const
 {
@@ -43,32 +60,34 @@ CompilationRequest::resolvedObjective() const
         return hamiltonian ? Objective::HamiltonianWeight
                            : Objective::TotalWeight;
     }
-    if (objective == Objective::HamiltonianWeight && !hamiltonian)
-        fatal("objective 'hamiltonian-weight' needs a Hamiltonian "
-              "in the CompilationRequest");
-    if (objective == Objective::RoutedCost && !topology)
-        fatal("objective 'routed-cost' needs a topology in the "
-              "CompilationRequest");
+    if (const std::string why = objectiveDiagnostic(*this);
+        !why.empty())
+        fatal(why);
     return objective;
 }
 
 std::string
 requestDiagnostic(const CompilationRequest &request)
 {
+    if (!strategyRegistered(request.strategy))
+        return unknownStrategyMessage(request.strategy);
     const std::size_t modes = request.resolvedModes();
     if (modes == 0)
         return "CompilationRequest needs modes > 0 or a Hamiltonian";
-    if (!request.topology)
-        return "";
-    const hw::Topology &topology = *request.topology;
-    if (!topology.connected())
-        return "topology '" + topology.spec() + "' is not connected";
-    if (topology.numQubits() < modes)
-        return "topology '" + topology.spec() + "' has " +
-               std::to_string(topology.numQubits()) +
-               " qubits but the problem needs " +
-               std::to_string(modes);
-    return "";
+    if (std::string why = objectiveDiagnostic(request); !why.empty())
+        return why;
+    if (request.topology) {
+        const hw::Topology &topology = *request.topology;
+        if (!topology.connected())
+            return "topology '" + topology.spec() +
+                   "' is not connected";
+        if (topology.numQubits() < modes)
+            return "topology '" + topology.spec() + "' has " +
+                   std::to_string(topology.numQubits()) +
+                   " qubits but the problem needs " +
+                   std::to_string(modes);
+    }
+    return makeStrategy(request.strategy)->diagnostic(request);
 }
 
 CompilationResult

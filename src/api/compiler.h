@@ -166,15 +166,22 @@ struct CompilationRequest : sat::EngineConfig
         return hamiltonian ? hamiltonian->modes() : modes;
     }
 
-    /** The objective after Auto resolution (fatal on mismatch). */
+    /**
+     * The objective after Auto resolution (fatal when an explicit
+     * objective lacks its Hamiltonian or topology, the check
+     * requestDiagnostic makes first).
+     */
     Objective resolvedObjective() const;
 };
 
 /**
- * Why `request` cannot compile, or "" when it can: it names no
- * modes, or its topology is disconnected or narrower than the
- * problem. The one check behind Compiler::compile, CompilerService
- * and tryBuildRequest (api/model_spec.h).
+ * Why `request` cannot compile, or "" when it can: its strategy is
+ * not registered, it names no modes, its explicit objective lacks
+ * the Hamiltonian or topology it needs, its topology is
+ * disconnected or narrower than the problem, or its strategy cannot
+ * serve it (EncodingStrategy::diagnostic). The one check behind
+ * Compiler::compile, CompilerService and tryBuildRequest
+ * (api/model_spec.h).
  */
 std::string requestDiagnostic(const CompilationRequest &request);
 

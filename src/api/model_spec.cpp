@@ -245,10 +245,6 @@ expandModelRanges(const std::string &model)
 std::optional<CompilationRequest>
 tryBuildRequest(const RequestSpec &spec, std::string *error)
 {
-    if (!strategyRegistered(spec.strategy)) {
-        failSpec(error, unknownStrategyMessage(spec.strategy));
-        return std::nullopt;
-    }
     CompilationRequest request;
     if (!applyModelSpec(spec.problem, request, error))
         return std::nullopt;
@@ -261,14 +257,6 @@ tryBuildRequest(const RequestSpec &spec, std::string *error)
             return std::nullopt;
         }
         request.topology = *std::move(topology);
-    } else if (spec.objective == Objective::RoutedCost) {
-        failSpec(error, "objective 'routed-cost' needs a topology "
-                        "in the request spec");
-        return std::nullopt;
-    }
-    if (std::string why = requestDiagnostic(request); !why.empty()) {
-        failSpec(error, std::move(why));
-        return std::nullopt;
     }
     request.strategy = spec.strategy;
     request.objective = spec.objective;
@@ -277,6 +265,10 @@ tryBuildRequest(const RequestSpec &spec, std::string *error)
     request.stepTimeoutSeconds = spec.stepTimeoutSeconds;
     request.totalTimeoutSeconds = spec.totalTimeoutSeconds;
     request.deadlineSeconds = spec.deadlineSeconds;
+    if (std::string why = requestDiagnostic(request); !why.empty()) {
+        failSpec(error, std::move(why));
+        return std::nullopt;
+    }
     return request;
 }
 

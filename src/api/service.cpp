@@ -102,15 +102,14 @@ checkedCachePayload(std::string_view view)
 }
 
 /**
- * Caller errors stay fatal on the caller's thread: an unknown
- * strategy (with the nearest-name suggestion) or a request
- * Compiler::compile would reject. Everything past this check
- * degrades to a ResultStatus instead of throwing.
+ * Caller errors stay fatal on the caller's thread: any request
+ * Compiler::compile would reject, with the same diagnostic.
+ * Everything past this check degrades to a ResultStatus instead of
+ * throwing.
  */
 void
 rejectCallerErrors(const CompilationRequest &request)
 {
-    makeStrategy(request.strategy);
     if (const std::string why = requestDiagnostic(request);
         !why.empty())
         fatal(why);

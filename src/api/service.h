@@ -34,8 +34,10 @@
  *    results (DeadlineExceeded, Cancelled) still carry a valid
  *    encoding — at worst the closed-form Bravyi-Kitaev baseline —
  *    and are never cached. Shed results carry no encoding.
- *  - Unknown strategy names are fatal at compile()/submit()
- *    validation, on the caller's thread. Every post-validation
+ *  - Requests api::requestDiagnostic rejects (unknown strategy,
+ *    objective or topology mismatch) are fatal at
+ *    compile()/submit() validation, on the caller's thread, with
+ *    the diagnostic Compiler::compile raises. Every post-validation
  *    failure surfaces as ResultStatus::Error through the returned
  *    result/future — never an exception from future.get(), never
  *    abort().
@@ -201,16 +203,17 @@ class CompilerService
 
     /**
      * Compile synchronously on the caller's thread, consulting the
-     * cache first. Thread-safe. Unknown strategy names are fatal;
-     * any later failure comes back as ResultStatus::Error.
+     * cache first. Thread-safe. Requests requestDiagnostic rejects
+     * are fatal; any later failure comes back as
+     * ResultStatus::Error.
      */
     CompilationResult compile(const CompilationRequest &request);
 
     /**
      * Enqueue a request for asynchronous compilation on the
-     * service's thread pool. The strategy name is validated here
-     * (fatal on unknown names); all later failures surface through
-     * the returned future as ResultStatus::Error results —
+     * service's thread pool. The request is validated here (fatal
+     * when requestDiagnostic rejects it); all later failures surface
+     * through the returned future as ResultStatus::Error results —
      * future.get() never throws. A full queue (maxQueueDepth)
      * returns an immediately-ready ResultStatus::Shed result.
      */

@@ -171,18 +171,19 @@ routedSelectionMetric(const CompilationRequest &request,
         .stats.twoQubitGates;
 }
 
-/** Shared validation of the routed strategies' preconditions. */
-void
-requireRoutedRequest(const CompilationRequest &request,
-                     const char *name)
+/** Why a routed strategy cannot serve `request`, or "". */
+std::string
+routedDiagnostic(const CompilationRequest &request,
+                 const std::string &name)
 {
     if (!request.topology)
-        fatal("strategy '", name, "' needs a topology in the "
-              "CompilationRequest");
+        return "strategy '" + name + "' needs a topology in the "
+               "CompilationRequest";
     if (request.resolvedObjective() != Objective::RoutedCost)
-        fatal("strategy '", name, "' requires the routed-cost "
-              "objective (set a topology and leave the objective "
-              "on Auto)");
+        return "strategy '" + name + "' requires the routed-cost "
+               "objective (set a topology and leave the objective "
+               "on Auto)";
+    return "";
 }
 
 /** A closed-form baseline wrapped as a strategy. */
@@ -352,24 +353,30 @@ class SatStrategy final : public EncodingStrategy
 class SatAnnealingStrategy final : public EncodingStrategy
 {
   public:
-    SearchOutcome
-    search(const CompilationRequest &request) const override
+    std::string
+    diagnostic(const CompilationRequest &request) const override
     {
         if (!request.hamiltonian)
-            fatal("strategy 'sat+annealing' needs a Hamiltonian: "
-                  "Algorithm 2 minimises the Hamiltonian-dependent "
-                  "Pauli weight");
-        if (request.resolvedObjective() == Objective::RoutedCost)
-            return rescoreUnderRoutedCost(request, *this);
+            return "strategy 'sat+annealing' needs a Hamiltonian: "
+                   "Algorithm 2 minimises the Hamiltonian-dependent "
+                   "Pauli weight";
         // The annealed pairing depends on the Hamiltonian, so a
         // total-weight objective would both misreport cost and
         // break the service's cache identity (which only hashes
         // the Eq. 14 structure for Hamiltonian-dependent
         // objectives).
-        if (request.resolvedObjective() != Objective::HamiltonianWeight)
-            fatal("strategy 'sat+annealing' requires the "
-                  "hamiltonian-weight objective (leave the "
-                  "objective on Auto)");
+        if (request.resolvedObjective() == Objective::TotalWeight)
+            return "strategy 'sat+annealing' requires the "
+                   "hamiltonian-weight objective (leave the "
+                   "objective on Auto)";
+        return "";
+    }
+
+    SearchOutcome
+    search(const CompilationRequest &request) const override
+    {
+        if (request.resolvedObjective() == Objective::RoutedCost)
+            return rescoreUnderRoutedCost(request, *this);
         const auto &h = *request.hamiltonian;
 
         const DeadlineClock clock(request.deadlineSeconds);
@@ -416,10 +423,15 @@ class SatAnnealingStrategy final : public EncodingStrategy
 class SatRoutedStrategy final : public EncodingStrategy
 {
   public:
+    std::string
+    diagnostic(const CompilationRequest &request) const override
+    {
+        return routedDiagnostic(request, "sat-routed");
+    }
+
     SearchOutcome
     search(const CompilationRequest &request) const override
     {
-        requireRoutedRequest(request, "sat-routed");
         CompilationRequest weight = request;
         weight.topology.reset();
         weight.objective = request.hamiltonian
@@ -456,10 +468,15 @@ class SatRoutedStrategy final : public EncodingStrategy
 class PickRoutedStrategy final : public EncodingStrategy
 {
   public:
+    std::string
+    diagnostic(const CompilationRequest &request) const override
+    {
+        return routedDiagnostic(request, "pick-routed");
+    }
+
     SearchOutcome
     search(const CompilationRequest &request) const override
     {
-        requireRoutedRequest(request, "pick-routed");
         const fermion::FermionHamiltonian *h =
             request.hamiltonian ? &*request.hamiltonian : nullptr;
         const std::size_t modes = request.resolvedModes();

@@ -55,10 +55,20 @@ class EncodingStrategy
     virtual ~EncodingStrategy() = default;
 
     /**
-     * Produce an encoding (and its search provenance) for the
-     * request. The facade validates the spec before calling; the
-     * strategy may still reject combinations it cannot serve
-     * (e.g.\ annealing without a Hamiltonian) with fatal().
+     * Why this strategy cannot serve `request`, or "" when it can
+     * (e.g.\ annealing without a Hamiltonian). requestDiagnostic()
+     * asks it after the generic checks, so every entry point
+     * rejects such a request before search() runs.
+     */
+    virtual std::string
+    diagnostic(const CompilationRequest &) const
+    {
+        return "";
+    }
+
+    /**
+     * Produce an encoding (and its search provenance) for a request
+     * requestDiagnostic() accepted.
      */
     virtual SearchOutcome search(
         const CompilationRequest &request) const = 0;

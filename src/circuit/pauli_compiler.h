@@ -15,8 +15,11 @@
  *    circuit equals exp(i theta P) exactly (identity strings emit
  *    nothing — a global phase).
  *  - compileTrotter() emits one evolution block per non-identity
- *    term per step; term ordering and peephole passes change gate
- *    counts but never the implemented unitary.
+ *    term per step. The peephole passes change gate counts but
+ *    never the implemented unitary. Term ordering changes the
+ *    unitary whenever some terms do not commute: products in
+ *    different orders agree only up to Trotter error, so an exact
+ *    reference must apply the orderTerms() sequence.
  *  - orderTerms() returns a permutation of the sum's non-identity
  *    terms — nothing else is dropped, merged or rescaled.
  */

@@ -70,6 +70,126 @@ readGroup(const MeasurementPlan::Group &group, std::uint64_t bits)
     return energy;
 }
 
+/**
+ * Amplitudes the ideal-prefix checkpoints of one measureEnergy call
+ * may hold in total: 2^21 complex doubles, 32 MiB.
+ */
+constexpr std::size_t kCheckpointAmplitudes = std::size_t{1} << 21;
+
+/** Error probability of the channel that follows `op`. */
+double
+channelError(const circuit::FusedGate &op, const NoiseModel &noise)
+{
+    return op.isCnot ? noise.twoQubitError : noise.singleQubitError;
+}
+
+/** Inject the error of the channel that follows `op`. */
+void
+injectError(StateVector &state, const circuit::FusedGate &op,
+            Rng &rng)
+{
+    if (op.isCnot)
+        injectTwoQubitPauli(state, op.qubit0, op.qubit1, rng);
+    else
+        injectPauli(state, op.qubit0, rng);
+}
+
+/**
+ * Draw the gate channels in circuit order — one nextBool() per gate
+ * whose error rate is above 0, as a trajectory does — and return
+ * the first gate whose channel fired, or the gate count if none did.
+ */
+std::size_t
+firstError(const circuit::FusedCircuit &lowered,
+           const NoiseModel &noise, Rng &rng)
+{
+    for (std::size_t i = 0; i < lowered.gates.size(); ++i) {
+        const double p = channelError(lowered.gates[i], noise);
+        if (p > 0 && rng.nextBool(p))
+            return i;
+    }
+    return lowered.gates.size();
+}
+
+/**
+ * Finish a trajectory whose first error fired at gate `k`: `state`
+ * holds the state after gates [0, k]. Injects that error, then
+ * applies the remaining gates with their channels, consuming the
+ * rest of the RNG stream exactly as runNoisyTrajectoryInto does.
+ */
+void
+replayFromError(const circuit::FusedCircuit &lowered, std::size_t k,
+                const NoiseModel &noise, Rng &rng, StateVector &state)
+{
+    injectError(state, lowered.gates[k], rng);
+    for (std::size_t i = k + 1; i < lowered.gates.size(); ++i) {
+        const auto &op = lowered.gates[i];
+        state.applyFusedGate(op);
+        const double p = channelError(op, noise);
+        if (p > 0 && rng.nextBool(p))
+            injectError(state, op, rng);
+    }
+}
+
+/**
+ * The noiseless run of a lowered circuit with checkpoints: the state
+ * before every stride-th gate, and the final state. The stored
+ * checkpoints hold at most kCheckpointAmplitudes amplitudes; the
+ * stride is the smallest that fits. The states are computed with
+ * the kernels every trajectory uses, so they equal a trajectory's
+ * state up to its first error bit-for-bit.
+ */
+class IdealRun
+{
+  public:
+    IdealRun(const circuit::FusedCircuit &lowered,
+             const StateVector &initial)
+        : lowered(lowered), initial(initial), last(initial),
+          stride(checkpointStride(lowered.gates.size(),
+                                  initial.dimension()))
+    {
+        const std::size_t gates = lowered.gates.size();
+        checkpoints.reserve(gates == 0 ? 0 : (gates - 1) / stride);
+        for (std::size_t i = 0; i < gates; ++i) {
+            if (i > 0 && i % stride == 0)
+                checkpoints.push_back(last);
+            last.applyFusedGate(lowered.gates[i]);
+        }
+    }
+
+    /** Overwrite `out` with the ideal state after gates [0, k]. */
+    void
+    stateAfter(std::size_t k, StateVector &out) const
+    {
+        const std::size_t slot = k / stride;
+        out = slot == 0 ? initial : checkpoints[slot - 1];
+        for (std::size_t i = slot * stride; i <= k; ++i)
+            out.applyFusedGate(lowered.gates[i]);
+    }
+
+    /** The ideal state after every gate. */
+    const StateVector &finalState() const { return last; }
+
+  private:
+    /**
+     * The state before gate 0 is `initial` itself; the stored
+     * checkpoints sit before gates s, 2s, ... < gates, (gates - 1) / s
+     * of them. The smallest s that keeps them within the budget.
+     */
+    static std::size_t
+    checkpointStride(std::size_t gates, std::size_t dimension)
+    {
+        const std::size_t capacity = kCheckpointAmplitudes / dimension;
+        return gates == 0 ? 1 : (gates - 1) / (capacity + 1) + 1;
+    }
+
+    const circuit::FusedCircuit &lowered;
+    const StateVector &initial;
+    StateVector last;
+    std::size_t stride;
+    std::vector<StateVector> checkpoints;
+};
+
 } // namespace
 
 void
@@ -90,27 +210,6 @@ runNoisyTrajectoryInto(const circuit::Circuit &circuit,
         } else if (noise.singleQubitError > 0 &&
                    rng.nextBool(noise.singleQubitError)) {
             injectPauli(out, gate.qubit0, rng);
-        }
-    }
-}
-
-void
-runNoisyTrajectoryInto(const circuit::FusedCircuit &lowered,
-                       const StateVector &initial,
-                       const NoiseModel &noise, Rng &rng,
-                       StateVector &out)
-{
-    out = initial;
-    for (const auto &op : lowered.gates) {
-        out.applyFusedGate(op);
-        if (op.isCnot) {
-            if (noise.twoQubitError > 0 &&
-                rng.nextBool(noise.twoQubitError)) {
-                injectTwoQubitPauli(out, op.qubit0, op.qubit1, rng);
-            }
-        } else if (noise.singleQubitError > 0 &&
-                   rng.nextBool(noise.singleQubitError)) {
-            injectPauli(out, op.qubit0, rng);
         }
     }
 }
@@ -222,6 +321,8 @@ measureEnergy(const circuit::Circuit &circuit,
               ThreadPool &pool)
 {
     require(shots >= 1, "measureEnergy needs at least one shot");
+    require(initial.numQubits() == circuit.numQubits(),
+            "circuit width does not match state");
     Timer timer;
     telemetry::TraceSpan span("sim.measure_energy");
     if (span.active())
@@ -235,51 +336,49 @@ measureEnergy(const circuit::Circuit &circuit,
     Rng master = rng.split();
     std::vector<double> energies(shots);
 
-    const bool noiseless_gates =
-        noise.singleQubitError <= 0 && noise.twoQubitError <= 0;
     {
         telemetry::TraceSpan sample_span("sim.sample");
-        if (sample_span.active())
-            sample_span.arg("noiseless_gates", noiseless_gates);
-        if (noiseless_gates) {
-            // Trajectories are deterministic: compute the final state
-            // and the per-family rotated sampling tables once, then a
-            // shot is one CDF draw per family (plus readout flips).
-            // This consumes the same RNG stream as the general path,
-            // so the results are bit-identical to it.
-            StateVector final_state = initial;
-            final_state.applyCircuit(circuit);
-            std::vector<SampleTable> tables;
-            tables.reserve(plan.groups().size());
-            StateVector rotated(1);
-            for (const auto &group : plan.groups()) {
-                rotated = final_state;
-                rotated.applyFused(group.rotation);
-                tables.emplace_back(rotated);
-            }
-            pool.forEach(shots, [&](std::size_t shot) {
-                Rng shot_rng = master.fork(shot);
-                double energy = plan.identityEnergy();
-                for (std::size_t g = 0; g < tables.size(); ++g) {
-                    std::uint64_t bits = tables[g].sample(shot_rng);
-                    bits = flipReadout(bits, plan.numQubits(), noise,
-                                       shot_rng);
-                    energy += readGroup(plan.groups()[g], bits);
-                }
-                energies[shot] = energy;
-            });
-        } else {
-            // One matrix per gate, trig evaluated once for all shots.
-            const auto lowered = circuit::lowerToMatrices(circuit);
-            pool.forEach(shots, [&](std::size_t shot) {
-                Rng shot_rng = master.fork(shot);
+        // One matrix per gate, trig evaluated once for all shots.
+        const auto lowered = circuit::lowerToMatrices(circuit);
+        // Every shot follows the ideal run up to its first error, so
+        // the ideal prefix states and the per-family sampling tables
+        // of the ideal final state are computed once per call.
+        const IdealRun ideal(lowered, initial);
+        std::vector<SampleTable> tables;
+        tables.reserve(plan.groups().size());
+        StateVector rotated(1);
+        for (const auto &group : plan.groups()) {
+            rotated = ideal.finalState();
+            rotated.applyFused(group.rotation);
+            tables.emplace_back(rotated);
+        }
+        // A shot draws its gate channels, then either samples the
+        // ideal state from the tables (no error; a table draw equals
+        // sampleBasisState on the rotated state) or replays from its
+        // first error. Either way it consumes its stream and does
+        // the floating-point work of a full trajectory followed by
+        // the grouped sampleEnergy, so results match that exactly.
+        pool.forEach(shots, [&](std::size_t shot) {
+            Rng shot_rng = master.fork(shot);
+            const std::size_t k = firstError(lowered, noise, shot_rng);
+            if (k < lowered.gates.size()) {
                 thread_local StateVector trajectory(1);
-                runNoisyTrajectoryInto(lowered, initial, noise,
-                                       shot_rng, trajectory);
+                ideal.stateAfter(k, trajectory);
+                replayFromError(lowered, k, noise, shot_rng,
+                                trajectory);
                 energies[shot] =
                     sampleEnergy(trajectory, plan, noise, shot_rng);
-            });
-        }
+                return;
+            }
+            double energy = plan.identityEnergy();
+            for (std::size_t g = 0; g < tables.size(); ++g) {
+                std::uint64_t bits = tables[g].sample(shot_rng);
+                bits = flipReadout(bits, plan.numQubits(), noise,
+                                   shot_rng);
+                energy += readGroup(plan.groups()[g], bits);
+            }
+            energies[shot] = energy;
+        });
     }
     telemetry::MetricsRegistry::global()
         .counter("sim.shots")

@@ -80,19 +80,6 @@ void runNoisyTrajectoryInto(const circuit::Circuit &circuit,
                             StateVector &out);
 
 /**
- * Trajectory over a per-gate lowered circuit (one op per original
- * gate, rotation trig precomputed — see circuit::lowerToMatrices).
- * `lowered` MUST be unfused: matrix ops draw the single-qubit
- * channel, CNOTs the two-qubit channel, so merging runs would
- * change how many error opportunities the trajectory sees. Gate
- * order and RNG consumption match the Circuit overload exactly.
- */
-void runNoisyTrajectoryInto(const circuit::FusedCircuit &lowered,
-                            const StateVector &initial,
-                            const NoiseModel &noise, Rng &rng,
-                            StateVector &out);
-
-/**
  * Precomputed measurement protocol for one Hamiltonian: its
  * qubit-wise commuting families, each with a fused basis-rotation
  * circuit and the per-term Z-supports to read off one sample.
@@ -168,10 +155,22 @@ struct EnergyStatistics
  * sampleEnergy. Shots fan out over the caller's thread pool (reuse
  * one pool across experiments — workers persist between calls);
  * every shot draws from its own forked RNG stream, so the
- * statistics are bit-identical for any thread count. When the
- * gate-error rates are zero the trajectory state is computed once
- * and shots reduce to SampleTable draws. Returns the observed
- * energy statistics.
+ * statistics are bit-identical for any thread count.
+ *
+ * A trajectory equals the ideal run up to its first gate error, so
+ * the call runs the per-gate lowered circuit once without noise,
+ * keeping the ideal state before every stride-th gate, and builds a
+ * SampleTable per measurement family from the ideal final state. A
+ * shot first draws its gate channels: with no error it is one table
+ * draw plus readout flips per family; otherwise it copies the
+ * nearest checkpoint at or before its first error k, re-applies the
+ * gates up to k and runs the noisy trajectory from there. The
+ * checkpoints hold at most 2^21 amplitudes (32 MiB) together, the
+ * stride being the smallest that fits. Each shot consumes its
+ * stream and does the floating-point work of a full trajectory, so
+ * the results equal a per-shot runNoisyTrajectoryInto plus
+ * sampleEnergy loop exactly. Returns the observed energy
+ * statistics.
  */
 EnergyStatistics measureEnergy(const circuit::Circuit &circuit,
                                const StateVector &initial,

@@ -237,17 +237,32 @@ fatalMessage(Call &&call)
 
 TEST(CompilerService, RejectsInvalidRequestsWithCompilersDiagnostic)
 {
-    // No modes, and 4 modes on a 2-qubit topology: caller errors
-    // every entry point reports on the caller's thread with one
-    // diagnostic, never as an Error result carrying internal text.
+    // No modes, 4 modes on a 2-qubit topology, and objective
+    // mismatches: caller errors every entry point reports on the
+    // caller's thread with one diagnostic, never as an Error result
+    // carrying internal text.
     CompilationRequest narrow = fastRequest(4, "bravyi-kitaev");
     narrow.topology = hw::Topology::linear(2);
+    CompilationRequest weight = fastRequest(3, "sat");
+    weight.objective = Objective::HamiltonianWeight;
+    CompilationRequest total = fastRequest(0, "sat+annealing");
+    total.hamiltonian = fermion::fermiHubbard1D(2, 1.0, 4.0);
+    total.objective = Objective::TotalWeight;
     const std::vector<std::pair<CompilationRequest, std::string>>
         cases = {
             {fastRequest(0, "bravyi-kitaev"),
              "CompilationRequest needs modes > 0 or a Hamiltonian"},
             {narrow, "topology 'linear:2' has 2 qubits but the "
                      "problem needs 4"},
+            {weight,
+             "objective 'hamiltonian-weight' needs a Hamiltonian"},
+            {fastRequest(3, "sat+annealing"),
+             "strategy 'sat+annealing' needs a Hamiltonian: "
+             "Algorithm 2 minimises the Hamiltonian-dependent "
+             "Pauli weight"},
+            {total, "strategy 'sat+annealing' requires the "
+                    "hamiltonian-weight objective (leave the "
+                    "objective on Auto)"},
         };
     CompilerService service;
     for (const auto &[request, diagnostic] : cases) {
@@ -378,22 +393,49 @@ TEST(CompilerService, SubmitBatchMatchesSyncResults)
                  FatalError);
 }
 
+/** A strategy whose search always fails, past request validation. */
+class FailingStrategy final : public EncodingStrategy
+{
+  public:
+    SearchOutcome
+    search(const CompilationRequest &) const override
+    {
+        fatal("failing-search: the search failed");
+    }
+};
+
 TEST(CompilerService, AsyncFutureDeliversFailuresAsErrorResults)
 {
     CompilerService service;
-    CompilationRequest bad = fastRequest(3, "sat+annealing");
-    // Valid strategy name, invalid spec (no Hamiltonian): the
-    // diagnostic must surface as an Error-status result through
-    // the future — future.get() never throws, no pool thread dies.
-    auto future = service.submit(bad);
+    // Valid strategy name, invalid spec (no Hamiltonian): a caller
+    // error, so submit() and compile() reject it on the caller's
+    // thread like Compiler::compile, before counting a submission.
+    const CompilationRequest bad = fastRequest(3, "sat+annealing");
+    const std::string diagnostic = requestDiagnostic(bad);
+    EXPECT_NE(diagnostic.find("sat+annealing"), std::string::npos);
+    EXPECT_EQ(fatalMessage([&] { service.submit(bad); }), diagnostic);
+    EXPECT_EQ(fatalMessage([&] { service.compile(bad); }),
+              diagnostic);
+    EXPECT_EQ(service.serviceStats().submitted, 0u);
+
+    // A failure inside the search must surface as an Error-status
+    // result through the future — future.get() never throws, no
+    // pool thread dies.
+    if (!strategyRegistered("failing-search"))
+        registerStrategy("failing-search", [] {
+            return std::make_unique<FailingStrategy>();
+        });
+    const CompilationRequest failing =
+        fastRequest(3, "failing-search");
+    auto future = service.submit(failing);
     const auto result = future.get();
     EXPECT_EQ(result.status, ResultStatus::Error);
-    EXPECT_NE(result.statusMessage.find("sat+annealing"),
+    EXPECT_NE(result.statusMessage.find("the search failed"),
               std::string::npos)
         << result.statusMessage;
 
     // The synchronous path folds the same failure the same way.
-    const auto sync = service.compile(bad);
+    const auto sync = service.compile(failing);
     EXPECT_EQ(sync.status, ResultStatus::Error);
 
     const auto stats = service.serviceStats();

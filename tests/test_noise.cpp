@@ -9,6 +9,8 @@
 
 #include "circuit/pauli_compiler.h"
 #include "common/rng.h"
+#include "encodings/linear.h"
+#include "fermion/models.h"
 #include "sim/exact.h"
 #include "sim/noise.h"
 
@@ -263,6 +265,99 @@ TEST(Noise, MeasureEnergyReportsElapsedTime)
                                      pool);
     EXPECT_GT(stats.elapsedSeconds, 0.0);
     EXPECT_EQ(stats.shots, 100u);
+}
+
+/**
+ * measureEnergy's reference, written out shot by shot: one split()
+ * from the caller, then per shot a forked stream, a full trajectory
+ * through the Circuit overload and the grouped sampleEnergy, summed
+ * in shot order.
+ */
+double
+referenceMean(const Circuit &c, const StateVector &initial,
+              const pauli::PauliSum &h, const NoiseModel &noise,
+              std::size_t shots, Rng &rng)
+{
+    const MeasurementPlan plan(h);
+    Rng master = rng.split();
+    StateVector trajectory(initial.numQubits());
+    double sum = 0.0;
+    for (std::size_t shot = 0; shot < shots; ++shot) {
+        Rng shot_rng = master.fork(shot);
+        runNoisyTrajectoryInto(c, initial, noise, shot_rng,
+                               trajectory);
+        sum += sampleEnergy(trajectory, plan, noise, shot_rng);
+    }
+    return sum / static_cast<double>(shots);
+}
+
+/**
+ * measureEnergy at 1 and 4 threads must equal the reference exactly
+ * under the Aria-1 profile (most shots error-free), a high-noise
+ * model (almost every shot errs) and the ideal model.
+ */
+void
+expectEqualsReference(const Circuit &c, const StateVector &initial,
+                      const pauli::PauliSum &h, std::size_t shots)
+{
+    NoiseModel high;
+    high.singleQubitError = 0.05;
+    high.twoQubitError = 0.3;
+    high.readoutError = 0.02;
+    const NoiseModel models[] = {NoiseModel::ionqAria1(), high,
+                                 NoiseModel::ideal()};
+    ThreadPool one(1), four(4);
+    for (std::size_t m = 0; m < std::size(models); ++m) {
+        Rng reference_rng(1000 + m);
+        const double expected = referenceMean(
+            c, initial, h, models[m], shots, reference_rng);
+        for (ThreadPool *pool : {&one, &four}) {
+            Rng rng(1000 + m);
+            const auto stats =
+                measureEnergy(c, initial, h, models[m], shots, rng,
+                              *pool);
+            EXPECT_EQ(stats.mean, expected)
+                << "model " << m << ", " << pool->threadCount()
+                << " threads";
+        }
+    }
+}
+
+TEST(Noise, MeasureEnergyEqualsPerShotReference)
+{
+    const auto h = enc::mapToQubits(
+        fermion::h2Sto3gIntegrals().toHamiltonian(),
+        enc::bravyiKitaev(4));
+    const Circuit c = circuit::compileTrotter(h, 1.0);
+    const StateVector initial = eigendecompose(h).state(0);
+    expectEqualsReference(c, initial, h, 300);
+}
+
+TEST(Noise, MeasureEnergyEqualsReferenceWithStridedCheckpoints)
+{
+    // 14 qubits and 164 gates: the ideal prefix states exceed the
+    // 2^21-amplitude checkpoint budget (128 states of 2^14), so the
+    // checkpoints are strided and replays re-apply ideal gates.
+    const std::size_t n = 14;
+    Circuit c(n);
+    for (int layer = 0; layer < 4; ++layer) {
+        for (std::uint32_t q = 0; q < n; ++q) {
+            c.add(GateKind::Ry, q, 0.3 + 0.1 * layer + 0.05 * q);
+            c.add(GateKind::Rz, q, 0.7 - 0.04 * q);
+        }
+        for (std::uint32_t q = 0; q + 1 < n; ++q)
+            c.addCnot(q, q + 1);
+    }
+    ASSERT_EQ(c.size(), 164u);
+
+    pauli::PauliSum h(n);
+    h.add(0.5, pauli::PauliString::fromLabel("ZZIIIIIIIIIIII"));
+    h.add(-0.25, pauli::PauliString::fromLabel("IIIIIIZZIIIIII"));
+    h.add(0.75, pauli::PauliString::fromLabel("XXXXXXXXXXXXXX"));
+    h.add(-0.5, pauli::PauliString::fromLabel("IIIYYIIIIIIIXZ"));
+    h.add(1.0, pauli::PauliString::fromLabel("IIIIIIIIIIIIII"));
+    h.simplify();
+    expectEqualsReference(c, StateVector(n), h, 16);
 }
 
 TEST(Noise, IonqPresetMatchesPaperNumbers)

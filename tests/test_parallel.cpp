@@ -121,8 +121,8 @@ TEST(ParallelMeasure, BitIdenticalAcrossThreadCounts)
 TEST(ParallelMeasure, IdealFastPathBitIdenticalAcrossThreads)
 {
     const H2Workload w;
-    // Zero gate error but nonzero readout: exercises the
-    // SampleTable fast path including its readout draws.
+    // Zero gate error but nonzero readout: every shot takes the
+    // no-error branch, SampleTable draws plus readout flips.
     sim::NoiseModel noise;
     noise.readoutError = 5e-3;
 

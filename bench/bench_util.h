@@ -66,7 +66,7 @@ struct EngineFlags
             "(=false clears them after every SAT call)");
         engine.inprocess = flags.addBool(
             "inprocess", true,
-            "subsumption + vivification between descent steps");
+            "vivification between descent steps");
         storage() = engine;
         return engine;
     }

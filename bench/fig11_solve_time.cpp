@@ -95,7 +95,7 @@ main(int argc, char **argv)
                  "Proof w/ (s)", "Proof w/o (s)", "Proved w/,w/o",
                  "Same cost?"});
     Table stats({"Modes", "Config", "Props", "Conflicts",
-                 "Learnt lits", "Elim vars", "Subsumed",
+                 "Learnt lits", "Elim vars",
                  "Clauses simp/orig", "GCs", "Inproc",
                  "Viv lits", "SAT calls", "Cost@walltime"});
 
@@ -137,8 +137,6 @@ main(int argc, char **argv)
                      s.aggregate.learntLiterals)),
                  Table::num(std::int64_t(
                      s.simplifier.eliminatedVariables)),
-                 Table::num(std::int64_t(
-                     s.simplifier.subsumedClauses)),
                  Table::num(std::int64_t(
                      s.simplifier.simplifiedClauses)) +
                      "/" +

@@ -168,9 +168,9 @@ main(int argc, char **argv)
     std::printf("The 'with' columns grow ~4^N (paper: N/A beyond "
                 "8); the 'without' columns grow ~N^2.\n\n");
     std::printf("%s", simplified.render().c_str());
-    std::printf("Preprocessing (subsumption, self-subsuming "
-                "resolution, bounded variable elimination; "
-                "operator bits and totalizer outputs frozen) "
+    std::printf("Preprocessing (unit propagation and bounded "
+                "variable elimination; operator bits and "
+                "totalizer outputs frozen) "
                 "shrinks the instances; a descent runs it before "
                 "its first SAT call on formulas of at most 4000 "
                 "clauses.\n\n");

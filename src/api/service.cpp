@@ -500,7 +500,14 @@ CompilerService::compileImpl(const CompilationRequest &request,
         // running (or done) — never the other way round — so
         // coalescing cannot deadlock the pool. A leader failure
         // rethrows here and guardedCompile converts it.
+        const Timer waited;
         const auto shared = entry->future.get();
+        // A degraded outcome answers the leader's deadline or
+        // cancellation, not this request's: serve it again under
+        // its own deadline (still ticking) and token.
+        if (shared->status != ResultStatus::Ok)
+            return compileImpl(request,
+                               queue_wait_seconds + waited.seconds());
         CompilationResult result = finishResult(request, *shared);
         result.coalesced = true;
         return result;
@@ -530,11 +537,13 @@ CompilerService::compileImpl(const CompilationRequest &request,
         throw;
     }
     const double search_seconds = timer.seconds();
-    entry->promise.set_value(outcome);
+    // Unpublish before waking the followers, so one that re-serves
+    // after a degraded outcome never re-joins this finished entry.
     {
         std::lock_guard lock(inflightMutex);
         inflight.erase(key);
     }
+    entry->promise.set_value(outcome);
 
     {
         std::lock_guard lock(cacheMutex);

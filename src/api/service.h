@@ -1,12 +1,12 @@
 /**
  * @file
  * CompilerService: the serving layer on top of the Compiler facade
- * — batch/async submission over the shared common/parallel.h
- * ThreadPool plus a content-addressed encoding cache (in-memory
- * LRU, optional on-disk store), so repeated requests for an
- * already-solved (modes, objective, constraints) spec skip the SAT
- * search entirely. On top of that sits the fault-tolerant serving
- * core: per-request deadlines and cancellation, graceful
+ * — batch/async submission onto the service's own queue and fixed
+ * set of worker threads, plus a content-addressed encoding cache
+ * (in-memory LRU, optional on-disk store), so repeated requests
+ * for an already-solved (modes, objective, constraints) spec skip
+ * the SAT search entirely. On top of that sits the fault-tolerant
+ * serving core: per-request deadlines and cancellation, graceful
  * degradation to best-so-far encodings (typed ResultStatus instead
  * of exceptions), bounded-queue admission control with
  * reject-newest load shedding, and in-flight coalescing of
@@ -61,7 +61,10 @@
  *  - Identical requests in flight at the same moment are
  *    coalesced: the first becomes the leader and runs the search,
  *    the rest block on its outcome and assemble their own results
- *    from it (ServiceStats::coalesced counts the followers).
+ *    from it (ServiceStats::coalesced counts the followers). Only
+ *    an Ok outcome is shared: when the leader degrades (its own
+ *    deadline or cancellation), each follower is served again
+ *    under its own deadline and token.
  *    Leaders never wait on followers, so coalescing cannot
  *    deadlock the pool; disk entries are published by atomic
  *    rename, so none is ever torn.

@@ -17,9 +17,8 @@ constexpr std::size_t kInprocessInterval = 3;
  * Skip inprocessing while the search is easy: maintenance only
  * runs once at least this many conflicts accumulated since the
  * last one. Early descent steps are often solved almost purely by
- * propagation, and subsumption+vivification over a database that
- * produced no learnt clauses is pure overhead on the time-to-best
- * clock.
+ * propagation, and vivification over a database that produced
+ * no learnt clauses is pure overhead on the time-to-best clock.
  */
 constexpr std::size_t kInprocessMinConflicts = 2000;
 

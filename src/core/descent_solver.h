@@ -168,8 +168,8 @@ struct DescentResult
     /**
      * SAT-engine counters for the whole run: per-instance search
      * work (propagations/conflicts/learnt literals), preprocessing
-     * effect (eliminated variables, subsumed clauses, simplified
-     * instance size) and portfolio arbitration outcomes.
+     * effect (eliminated variables, simplified instance size) and
+     * portfolio arbitration outcomes.
      */
     sat::PortfolioStats satStats;
 };

@@ -2,9 +2,14 @@
 
 namespace fermihedral::net {
 
-Connection::Connection(ConnectionHandler &handler,
-                       std::string banner)
-    : handler(handler), banner(std::move(banner))
+namespace {
+
+/** Server identification echoed in WELCOME. */
+constexpr std::string_view kBanner = "fermihedrald";
+
+} // namespace
+
+Connection::Connection(ConnectionHandler &handler) : handler(handler)
 {
 }
 
@@ -48,7 +53,7 @@ Connection::handleFrame(Frame &&frame)
         }
         version = std::min(*client_version, kProtocolVersion);
         send({MessageType::Welcome, 0,
-              encodeWelcomePayload(version, banner)});
+              encodeWelcomePayload(version, kBanner)});
         state = State::Serving;
         return;
     }

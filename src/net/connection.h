@@ -68,8 +68,7 @@ class ConnectionHandler
 class Connection
 {
   public:
-    /** @param banner Server identification echoed in WELCOME. */
-    Connection(ConnectionHandler &handler, std::string banner);
+    explicit Connection(ConnectionHandler &handler);
 
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
@@ -127,7 +126,6 @@ class Connection
     void send(const Frame &frame);
 
     ConnectionHandler &handler;
-    std::string banner;
     FrameDecoder decoder;
     std::string output;
     std::unordered_set<std::uint64_t> inflightIds;

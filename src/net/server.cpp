@@ -34,7 +34,7 @@ struct EncodingServer::ConnState
 
     ConnState(EncodingServer *server, std::uint64_t conn_id,
               int conn_fd)
-        : id(conn_id), fd(conn_fd), conn(handler, "fermihedrald")
+        : id(conn_id), fd(conn_fd), conn(handler)
     {
         handler.server = server;
         handler.connId = conn_id;

@@ -14,7 +14,7 @@
  *   word 2: LBD ("glue") for learnt clauses
  *   word 3...: literal codes
  *
- * Clauses shrink in place (strengthening, vivification) and are
+ * Clauses shrink in place (vivification) and are
  * freed by marking; the freed words are counted as waste. When the
  * waste crosses a threshold the owner runs a copying collection:
  * every live clause is relocated into a fresh arena and the old

@@ -76,9 +76,9 @@ struct EngineConfig
 
     /**
      * Inprocess the clause databases between descent steps
-     * (subsumption + vivification, Solver::inprocess): each
-     * permanent bound unit lets the simplifier strip satisfied
-     * clauses before the next, harder SAT call.
+     * (vivification, Solver::inprocess): each permanent bound unit
+     * lets vivification shorten the problem clauses before the
+     * next, harder SAT call.
      */
     bool inprocess = true;
 };

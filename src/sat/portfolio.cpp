@@ -231,9 +231,7 @@ PortfolioSolver::build(bool skip_preprocess)
             if (frozenVars[var])
                 simplifier->freeze(static_cast<Var>(var));
         }
-        SimplifierOptions simplify;
-        simplify.timeBudgetSeconds = kPreprocessBudgetSeconds;
-        simplifier->run(simplify);
+        simplifier->run(kPreprocessBudgetSeconds);
         portfolio.simplifier = simplifier->stats();
         if (simplifier->inconsistent())
             topLevelUnsat = true;

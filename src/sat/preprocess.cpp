@@ -19,24 +19,15 @@ constexpr std::size_t kEliminationOccurrenceLimit = 24;
 /** Resolvents longer than this block their elimination. */
 constexpr std::size_t kEliminationClauseLimit = 8;
 
+/** Maximum propagation+elimination rounds before settling. */
+constexpr std::size_t kMaxRounds = 8;
+
 } // namespace
 
 Simplifier::Simplifier(std::size_t num_vars)
     : occurrences(2 * num_vars), values(num_vars, LBool::Undef),
       frozen(num_vars, 0), eliminated(num_vars, 0)
 {
-}
-
-std::uint64_t
-Simplifier::signatureOf(std::span<const Lit> literals)
-{
-    // Variable-based Bloom signature: sig(C) & ~sig(D) != 0 proves
-    // C's variables are not a subset of D's, which filters almost
-    // every candidate pair before the literal-level subset walk.
-    std::uint64_t signature = 0;
-    for (const Lit lit : literals)
-        signature |= std::uint64_t{1} << (litVar(lit) & 63);
-    return signature;
 }
 
 bool
@@ -85,15 +76,6 @@ Simplifier::enqueueUnit(Lit lit)
 }
 
 void
-Simplifier::enqueueSubsumption(std::size_t index)
-{
-    if (queued[index])
-        return;
-    queued[index] = 1;
-    subsumptionQueue.push_back(index);
-}
-
-void
 Simplifier::removeClauseAt(std::size_t index)
 {
     // Occurrence entries of removed clauses are left stale and
@@ -103,19 +85,6 @@ Simplifier::removeClauseAt(std::size_t index)
     clauses[index].removed = true;
     clauses[index].lits.clear();
     clauses[index].lits.shrink_to_fit();
-}
-
-void
-Simplifier::detachLiteral(std::size_t index, Lit lit)
-{
-    auto &list = occurrences[lit.code];
-    for (std::size_t i = 0; i < list.size(); ++i) {
-        if (list[i] == index) {
-            list[i] = list.back();
-            list.pop_back();
-            return;
-        }
-    }
 }
 
 void
@@ -171,14 +140,9 @@ Simplifier::insertClause(std::vector<Lit> lits)
         return !contradiction;
     }
     const std::size_t index = clauses.size();
-    Clause clause;
-    clause.signature = signatureOf(lits);
-    clause.lits = std::move(lits);
-    clauses.push_back(std::move(clause));
+    clauses.push_back({std::move(lits), false});
     for (const Lit lit : clauses[index].lits)
         occurrences[lit.code].push_back(index);
-    queued.push_back(0);
-    enqueueSubsumption(index);
     return true;
 }
 
@@ -206,7 +170,6 @@ Simplifier::propagateUnits()
             auto &clause = clauses[index];
             clause.lits.erase(std::find(clause.lits.begin(),
                                         clause.lits.end(), ~lit));
-            clause.signature = signatureOf(clause.lits);
             if (clause.lits.empty()) {
                 contradiction = true;
                 return false;
@@ -214,121 +177,6 @@ Simplifier::propagateUnits()
             if (clause.lits.size() == 1) {
                 enqueueUnit(clause.lits[0]);
                 removeClauseAt(index);
-            } else {
-                enqueueSubsumption(index);
-            }
-        }
-    }
-    return !contradiction;
-}
-
-namespace {
-
-/**
- * True when every literal of `small` — with `flip` replaced by its
- * negation — occurs in `large`. Both clauses are sorted by literal
- * code; flipping only toggles the low bit, so the walked sequence
- * stays sorted and one merge pass suffices.
- */
-bool
-subsetWithFlip(const std::vector<Lit> &small,
-               const std::vector<Lit> &large, Lit flip)
-{
-    std::size_t j = 0;
-    for (Lit lit : small) {
-        if (lit == flip)
-            lit = ~lit;
-        while (j < large.size() && large[j].code < lit.code)
-            ++j;
-        if (j == large.size() || !(large[j] == lit))
-            return false;
-        ++j;
-    }
-    return true;
-}
-
-} // namespace
-
-bool
-Simplifier::strengthenClause(std::size_t index, Lit lit)
-{
-    auto &clause = clauses[index];
-    detachLiteral(index, lit);
-    clause.lits.erase(
-        std::find(clause.lits.begin(), clause.lits.end(), lit));
-    clause.signature = signatureOf(clause.lits);
-    ++statistics.strengthenedLiterals;
-    if (clause.lits.empty()) {
-        contradiction = true;
-        return false;
-    }
-    if (clause.lits.size() == 1) {
-        enqueueUnit(clause.lits[0]);
-        removeClauseAt(index);
-        return !contradiction;
-    }
-    enqueueSubsumption(index);
-    return true;
-}
-
-bool
-Simplifier::subsumptionPass()
-{
-    while (!subsumptionQueue.empty()) {
-        if (!propagateUnits())
-            return false;
-        if (subsumptionQueue.empty())
-            break;
-        if (pollBudget())
-            break; // queued work stays queued, soundly undone
-        const std::size_t index = subsumptionQueue.back();
-        subsumptionQueue.pop_back();
-        queued[index] = 0;
-        if (clauses[index].removed)
-            continue;
-        const std::vector<Lit> lits = clauses[index].lits;
-        const std::uint64_t signature = clauses[index].signature;
-
-        // Scan the occurrence list of the rarest literal: every
-        // clause containing all of `lits` must appear there.
-        Lit best = lits[0];
-        for (const Lit lit : lits) {
-            if (occurrences[lit.code].size() <
-                occurrences[best.code].size())
-                best = lit;
-        }
-        for (const std::size_t other : occurrences[best.code]) {
-            if (other == index || clauses[other].removed)
-                continue;
-            const auto &cand = clauses[other];
-            if (cand.lits.size() < lits.size() ||
-                (signature & ~cand.signature) != 0)
-                continue;
-            if (subsetWithFlip(lits, cand.lits, litUndef)) {
-                removeClauseAt(other);
-                ++statistics.subsumedClauses;
-            }
-        }
-
-        // Self-subsuming resolution: D ⊇ (C \ {l}) ∪ {~l} lets the
-        // resolvent C⊗D replace D, i.e.\ ~l is removed from D.
-        for (const Lit lit : lits) {
-            if (clauses[index].removed)
-                break;
-            // detachLiteral edits this list, so walk a copy.
-            const std::vector<std::size_t> candidates =
-                occurrences[(~lit).code];
-            for (const std::size_t other : candidates) {
-                if (other == index || clauses[other].removed)
-                    continue;
-                const auto &cand = clauses[other];
-                if (cand.lits.size() < lits.size() ||
-                    (signature & ~cand.signature) != 0)
-                    continue;
-                if (!subsetWithFlip(lits, cand.lits, lit))
-                    continue;
-                if (!strengthenClause(other, ~lit))
-                    return false;
             }
         }
     }
@@ -440,7 +288,7 @@ Simplifier::eliminationPass(bool &changed)
         // Occurrence lists keep stale entries for removed clauses;
         // counting them raw would both mis-order candidates and
         // permanently skip variables pushed over the limit by
-        // clauses subsumption already deleted.
+        // clauses earlier eliminations already deleted.
         std::size_t count = 0;
         for (const std::size_t index : occurrences[lit.code])
             count += clauses[index].removed ? 0 : 1;
@@ -472,34 +320,29 @@ Simplifier::eliminationPass(bool &changed)
 }
 
 void
-Simplifier::run(const SimplifierOptions &options)
+Simplifier::run(double time_budget_seconds)
 {
     require(!ran, "Simplifier::run() may only be called once");
     ran = true;
     telemetry::TraceSpan span("sat.simplify");
     const Timer run_timer;
-    budgetSeconds = options.timeBudgetSeconds;
+    budgetSeconds = time_budget_seconds;
     budgetStart = std::chrono::steady_clock::now();
     budgetTick = 0;
-    for (std::size_t round = 0; round < options.maxRounds; ++round) {
+    for (std::size_t round = 0; round < kMaxRounds; ++round) {
         if (overBudget())
             break;
         if (!propagateUnits())
             break;
-        if (!subsumptionPass())
-            break;
         bool changed = false;
-        if (options.variableElimination && !eliminationPass(changed))
+        if (!eliminationPass(changed))
             break;
         ++statistics.rounds;
-        if (!changed && subsumptionQueue.empty() &&
-            unitQueue.empty())
+        if (!changed && unitQueue.empty())
             break;
     }
-    if (!contradiction) {
+    if (!contradiction)
         propagateUnits();
-        subsumptionPass();
-    }
 
     statistics.seconds = run_timer.seconds();
     statistics.simplifiedClauses = 0;
@@ -523,7 +366,6 @@ Simplifier::run(const SimplifierOptions &options)
         span.arg("original_clauses", statistics.originalClauses);
         span.arg("simplified_clauses",
                  statistics.simplifiedClauses);
-        span.arg("subsumed", statistics.subsumedClauses);
         span.arg("eliminated_vars",
                  statistics.eliminatedVariables);
     }

@@ -2,19 +2,19 @@
  * @file
  * Clause-database preprocessing (SatELite-style simplification).
  *
- * Runs the three classic inprocessing techniques the Kissat/CaDiCaL
- * line applies before search, over a plain clause list and an
- * occurrence index:
+ * Runs two passes over a plain clause list and an occurrence index
+ * before search:
  *
  *  - top-level unit propagation (satisfied clauses removed, false
  *    literals stripped),
- *  - backward subsumption: a clause C removes every clause D ⊇ C,
- *  - self-subsuming resolution (strengthening): when
- *    D ⊇ (C \ {l}) ∪ {~l}, the literal ~l is removed from D,
  *  - bounded variable elimination (BVE): a variable whose
  *    resolvent set is no larger than the clauses it replaces is
  *    resolved away (pure literals fall out as the zero-resolvent
  *    case).
+ *
+ * SatELite's subsumption and self-subsuming resolution are left
+ * out: neither removes a clause or a literal from any CNF the
+ * encoding model builds, so only BVE changes these formulas.
  *
  * Eliminated variables are recorded on a witness stack (Eén &
  * Biere): for each elimination the clauses containing the positive
@@ -51,28 +51,6 @@
 
 namespace fermihedral::sat {
 
-/** Effort limits for one simplification run. */
-struct SimplifierOptions
-{
-    /**
-     * Run bounded variable elimination. Subsumption and
-     * self-subsuming resolution always run.
-     */
-    bool variableElimination = true;
-
-    /** Maximum subsumption+elimination rounds before settling. */
-    std::size_t maxRounds = 8;
-
-    /**
-     * Stop simplifying once this much wall-clock has elapsed
-     * (<= 0 = unlimited). Checked between rounds and periodically
-     * inside the subsumption/elimination passes; stopping anywhere
-     * is sound because every individual rewrite preserves
-     * equisatisfiability and the witness stack on its own.
-     */
-    double timeBudgetSeconds = -1.0;
-};
-
 /** Counters of one simplification run. */
 struct SimplifierStats
 {
@@ -80,8 +58,6 @@ struct SimplifierStats
     std::size_t originalLiterals = 0;
     std::size_t simplifiedClauses = 0;
     std::size_t simplifiedLiterals = 0;
-    std::size_t subsumedClauses = 0;
-    std::size_t strengthenedLiterals = 0;
     std::size_t eliminatedVariables = 0;
     std::size_t fixedVariables = 0;
     std::size_t resolventsAdded = 0;
@@ -107,8 +83,15 @@ class Simplifier
     /** Protect a variable from elimination (before run()). */
     void freeze(Var var);
 
-    /** Run the simplification pipeline once. */
-    void run(const SimplifierOptions &options = {});
+    /**
+     * Run the simplification pipeline once. Stops once
+     * `time_budget_seconds` of wall-clock has elapsed (<= 0 =
+     * unlimited): checked between rounds and periodically inside
+     * the elimination pass; stopping anywhere is sound because
+     * every elimination preserves equisatisfiability and the
+     * witness stack on its own.
+     */
+    void run(double time_budget_seconds = -1.0);
 
     /** True when the input was refuted at the top level. */
     bool inconsistent() const { return contradiction; }
@@ -146,7 +129,6 @@ class Simplifier
     struct Clause
     {
         std::vector<Lit> lits;
-        std::uint64_t signature = 0;
         bool removed = false;
     };
 
@@ -165,8 +147,6 @@ class Simplifier
     std::vector<char> eliminated;
     std::vector<Witness> witnesses;
     std::vector<Var> unitQueue;
-    std::vector<std::size_t> subsumptionQueue;
-    std::vector<char> queued;
     bool contradiction = false;
     bool ran = false;
     SimplifierStats statistics;
@@ -178,16 +158,11 @@ class Simplifier
 
     bool overBudget() const;
     bool pollBudget();
-    static std::uint64_t signatureOf(std::span<const Lit> literals);
     LBool valueOf(Lit lit) const;
     void enqueueUnit(Lit lit);
-    void enqueueSubsumption(std::size_t index);
     void removeClauseAt(std::size_t index);
-    void detachLiteral(std::size_t index, Lit lit);
     bool insertClause(std::vector<Lit> lits);
     bool propagateUnits();
-    bool subsumptionPass();
-    bool strengthenClause(std::size_t index, Lit lit);
     bool eliminationPass(bool &changed);
     bool tryEliminate(Var var);
     static bool resolve(const std::vector<Lit> &pos,

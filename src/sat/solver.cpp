@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
-#include "sat/preprocess.h"
 
 namespace fermihedral::sat {
 
@@ -512,45 +511,6 @@ Solver::enqueueFactAndPropagate(Lit lit)
     return ok;
 }
 
-bool
-Solver::subsumptionPass()
-{
-    // Re-run the PR 3 simplifier over the problem clauses with
-    // variable elimination off: subsumption and self-subsuming
-    // resolution preserve logical equivalence, so the retained
-    // learnt clauses stay sound without witness reconstruction.
-    Simplifier simplifier(numVars());
-    for (const Lit lit : trail)
-        simplifier.addClause({lit});
-    for (const ClauseRef ref : problemClauses)
-        simplifier.addClause(arena.clause(ref));
-    SimplifierOptions options;
-    options.variableElimination = false;
-    options.maxRounds = 2;
-    simplifier.run(options);
-    statistics.inprocessSubsumed +=
-        simplifier.stats().subsumedClauses;
-    statistics.inprocessStrengthened +=
-        simplifier.stats().strengthenedLiterals;
-    if (simplifier.inconsistent()) {
-        ok = false;
-        return false;
-    }
-    // Rebuild the problem database from the simplified clause list;
-    // derived units enter the trail through the normal addClause
-    // path.
-    for (const ClauseRef ref : problemClauses) {
-        detachClause(ref);
-        arena.free(ref);
-    }
-    problemClauses.clear();
-    for (const auto &clause : simplifier.simplifiedClauses()) {
-        if (!addClause(clause))
-            return false;
-    }
-    return true;
-}
-
 namespace {
 
 /** Propagation budget for one vivification pass. */
@@ -643,18 +603,15 @@ Solver::inprocess()
     }
     ++statistics.inprocessings;
     telemetry::TraceSpan span("sat.inprocess");
-    const std::uint64_t subsumed_before = statistics.inprocessSubsumed;
     const std::uint64_t vivified_before = statistics.vivifiedClauses;
     detachLevelZeroReasons();
-    if (!subsumptionPass() || !vivifyPass()) {
+    if (!vivifyPass()) {
         maybeCheck();
         return false;
     }
     garbageCollectIfNeeded();
     maybeCheck();
     if (span.active()) {
-        span.arg("subsumed",
-                 statistics.inprocessSubsumed - subsumed_before);
         span.arg("vivified",
                  statistics.vivifiedClauses - vivified_before);
     }

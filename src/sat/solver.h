@@ -25,10 +25,9 @@
  *    clauses, phases and activities carry over across those calls
  *    (clearLearnts() resets the carried clauses when a caller
  *    wants restart-from-scratch behaviour),
- *  - inprocessing between solves: subsumption / self-subsuming
- *    resolution of the problem clauses through the sat/preprocess
- *    Simplifier (variable elimination stays off so retained learnt
- *    clauses remain sound) and bounded clause vivification,
+ *  - inprocessing between solves: bounded vivification of the
+ *    problem clauses (equivalence-preserving, so retained learnt
+ *    clauses remain sound),
  *  - conflict/time budgets so descent steps can time out the same
  *    way the paper's setup bounds each SAT call,
  *  - configurable diversification (decision seed, phase policy,
@@ -178,13 +177,11 @@ class Solver final : public SolverBase
 
     /**
      * Inprocess the clause database between solve() calls:
-     * top-level simplification, subsumption / self-subsuming
-     * resolution of the problem clauses (the sat/preprocess
-     * Simplifier with variable elimination off, so learnt clauses
-     * stay sound without witness reconstruction), bounded
-     * vivification, and a garbage collection when enough waste
-     * accumulated. Returns false when simplification refuted the
-     * formula.
+     * bounded vivification of the problem clauses (each loses the
+     * literals unit propagation proves redundant, which keeps the
+     * formula equivalent, so learnt clauses stay sound), and a
+     * garbage collection when enough waste accumulated. Returns
+     * false when the formula was refuted.
      */
     bool inprocess();
 
@@ -319,7 +316,6 @@ class Solver final : public SolverBase
     // --- Inprocessing ------------------------------------------------------
     /** Drop level-0 reasons (facts need none; frees their clauses). */
     void detachLevelZeroReasons();
-    bool subsumptionPass();
     bool vivifyPass();
     bool enqueueFactAndPropagate(Lit lit);
 

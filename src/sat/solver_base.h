@@ -70,8 +70,6 @@ struct SolverStats
     std::uint64_t reclaimedWords = 0;
     /** Inprocessing rounds and their clause-database effect. */
     std::uint64_t inprocessings = 0;
-    std::uint64_t inprocessSubsumed = 0;
-    std::uint64_t inprocessStrengthened = 0;
     std::uint64_t vivifiedClauses = 0;
     std::uint64_t vivifiedLiterals = 0;
     /** Learnt clauses dropped by clearLearnts() (carry-over off). */
@@ -88,8 +86,6 @@ struct SolverStats
         garbageCollects += other.garbageCollects;
         reclaimedWords += other.reclaimedWords;
         inprocessings += other.inprocessings;
-        inprocessSubsumed += other.inprocessSubsumed;
-        inprocessStrengthened += other.inprocessStrengthened;
         vivifiedClauses += other.vivifiedClauses;
         vivifiedLiterals += other.vivifiedLiterals;
         clearedLearnts += other.clearedLearnts;

@@ -485,7 +485,7 @@ helloWire(std::uint32_t version = kProtocolVersion)
 TEST(NetConnection, HandshakeThenPing)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     EXPECT_EQ(connection.negotiatedVersion(), kProtocolVersion);
     connection.feed(encodeFrame({MessageType::Ping, 5, "probe"}));
@@ -496,7 +496,7 @@ TEST(NetConnection, HandshakeThenPing)
     const auto welcome = decodeWelcomePayload(frames[0].payload);
     ASSERT_TRUE(welcome.has_value());
     EXPECT_EQ(welcome->version, kProtocolVersion);
-    EXPECT_EQ(welcome->banner, "testd");
+    EXPECT_EQ(welcome->banner, "fermihedrald");
     EXPECT_EQ(frames[1].type, MessageType::Pong);
     EXPECT_EQ(frames[1].requestId, 5u);
     EXPECT_EQ(frames[1].payload, "probe");
@@ -506,7 +506,7 @@ TEST(NetConnection, HandshakeThenPing)
 TEST(NetConnection, NewerClientNegotiatesDownToOurs)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire(kProtocolVersion + 7));
     EXPECT_EQ(connection.negotiatedVersion(), kProtocolVersion);
     EXPECT_FALSE(connection.shouldClose());
@@ -515,7 +515,7 @@ TEST(NetConnection, NewerClientNegotiatesDownToOurs)
 TEST(NetConnection, TooOldClientIsRejected)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire(0));
     const auto frames = drainOutput(connection);
     ASSERT_EQ(frames.size(), 1u);
@@ -526,7 +526,7 @@ TEST(NetConnection, TooOldClientIsRejected)
 TEST(NetConnection, FirstFrameMustBeHello)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(encodeFrame({MessageType::Ping, 1, ""}));
     const auto frames = drainOutput(connection);
     ASSERT_EQ(frames.size(), 1u);
@@ -537,7 +537,7 @@ TEST(NetConnection, FirstFrameMustBeHello)
 TEST(NetConnection, MalformedHelloPayloadIsRejected)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(encodeFrame({MessageType::Hello, 0, "abc"}));
     EXPECT_TRUE(connection.shouldClose());
 }
@@ -545,7 +545,7 @@ TEST(NetConnection, MalformedHelloPayloadIsRejected)
 TEST(NetConnection, PipelinedOutOfOrderCompletion)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     connection.feed(encodeFrame({MessageType::Compile, 1, "one"}));
     connection.feed(encodeFrame({MessageType::Compile, 2, "two"}));
@@ -580,7 +580,7 @@ TEST(NetConnection, ShortWritesEmitIdenticalBytes)
     // The same traffic drained one byte at a time must decode to
     // the same frames — consumeOutput(n) with any n is legal.
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     connection.feed(encodeFrame({MessageType::Compile, 8, "spec"}));
     connection.completeCompile(8, api::ResultStatus::Ok, "",
@@ -594,7 +594,7 @@ TEST(NetConnection, ShortWritesEmitIdenticalBytes)
 TEST(NetConnection, DuplicateInFlightIdIsProtocolError)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     connection.feed(encodeFrame({MessageType::Compile, 4, "a"}));
     connection.feed(encodeFrame({MessageType::Compile, 4, "b"}));
@@ -609,7 +609,7 @@ TEST(NetConnection, DuplicateInFlightIdIsProtocolError)
 TEST(NetConnection, CompileIdZeroIsProtocolError)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     connection.feed(encodeFrame({MessageType::Compile, 0, "a"}));
     EXPECT_TRUE(connection.shouldClose());
@@ -619,7 +619,7 @@ TEST(NetConnection, CompileIdZeroIsProtocolError)
 TEST(NetConnection, CancelReachesHandlerOnlyWhileInFlight)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     connection.feed(encodeFrame({MessageType::Cancel, 9, ""}));
     EXPECT_TRUE(handler.cancels.empty()); // no-op, not an error
@@ -643,7 +643,7 @@ TEST(NetConnection, CancelReachesHandlerOnlyWhileInFlight)
 TEST(NetConnection, CompletingUnknownIdIsNoOp)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     drainOutput(connection);
     connection.completeCompile(123, api::ResultStatus::Ok, "", "x");
@@ -653,7 +653,7 @@ TEST(NetConnection, CompletingUnknownIdIsNoOp)
 TEST(NetConnection, MetricsRoundTrip)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     connection.feed(encodeFrame({MessageType::Metrics, 6, ""}));
     const auto frames = drainOutput(connection);
@@ -670,7 +670,7 @@ TEST(NetConnection, ServerOnlyTypesAreProtocolErrors)
           MessageType::MetricsResult, MessageType::Pong,
           MessageType::Error}) {
         RecordingHandler handler;
-        Connection connection(handler, "testd");
+        Connection connection(handler);
         connection.feed(helloWire());
         connection.feed(encodeFrame({type, 1, ""}));
         EXPECT_TRUE(connection.shouldClose())
@@ -681,7 +681,7 @@ TEST(NetConnection, ServerOnlyTypesAreProtocolErrors)
 TEST(NetConnection, RepeatedHelloIsProtocolError)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     connection.feed(helloWire());
     EXPECT_TRUE(connection.shouldClose());
@@ -690,7 +690,7 @@ TEST(NetConnection, RepeatedHelloIsProtocolError)
 TEST(NetConnection, MalformedStreamQueuesErrorAndCloses)
 {
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     connection.feed(helloWire());
     drainOutput(connection);
     // A declared length below the 9-byte floor poisons the decoder;
@@ -710,7 +710,7 @@ TEST(NetConnection, PartialReadsDriveTheStateMachine)
 {
     // The whole session delivered one byte per feed() call.
     RecordingHandler handler;
-    Connection connection(handler, "testd");
+    Connection connection(handler);
     const std::string session =
         helloWire() +
         encodeFrame({MessageType::Compile, 11, "spec-a"}) +

@@ -2,19 +2,23 @@
  * @file
  * Unit and property tests for the clause-database simplifier.
  *
- * The property suite runs random 3-SAT instances through
- * subsumption / self-subsuming resolution / bounded variable
- * elimination and checks (a) the SAT/UNSAT verdict agrees with the
- * unsimplified solver and (b) a model of the simplified formula,
- * extended by witness reconstruction, satisfies every original
- * clause — the contract EncodingModel::decode() depends on.
+ * The property suite runs random 3-SAT instances through unit
+ * propagation and bounded variable elimination and checks (a) the
+ * SAT/UNSAT verdict agrees with the unsimplified solver and (b) a
+ * model of the simplified formula, extended by witness
+ * reconstruction, satisfies every original clause — the contract
+ * EncodingModel::decode() depends on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/encoding_model.h"
+#include "encodings/linear.h"
+#include "sat/dimacs.h"
 #include "sat/preprocess.h"
 #include "sat/solver.h"
 
@@ -38,40 +42,6 @@ modelSatisfies(const std::vector<std::vector<Lit>> &clauses,
             return false;
     }
     return true;
-}
-
-TEST(Simplifier, SubsumedClauseIsRemoved)
-{
-    Simplifier simp(3);
-    const Lit a = mkLit(0), b = mkLit(1), c = mkLit(2);
-    simp.addClause({a, b});
-    simp.addClause({a, b, c}); // subsumed by {a, b}
-    simp.freeze(0);
-    simp.freeze(1);
-    simp.freeze(2);
-    simp.run();
-    EXPECT_EQ(simp.stats().subsumedClauses, 1u);
-    EXPECT_EQ(simp.simplifiedClauses().size(), 1u);
-}
-
-TEST(Simplifier, SelfSubsumingResolutionStrengthens)
-{
-    // {a, b} and {~a, b, c}: resolving on a gives {b, c} which
-    // subsumes {~a, b, c}, i.e. ~a is removed from it.
-    Simplifier simp(3);
-    const Lit a = mkLit(0), b = mkLit(1), c = mkLit(2);
-    simp.addClause({a, b});
-    simp.addClause({~a, b, c});
-    for (Var v = 0; v < 3; ++v)
-        simp.freeze(v);
-    SimplifierOptions options;
-    options.variableElimination = false;
-    simp.run(options);
-    EXPECT_EQ(simp.stats().strengthenedLiterals, 1u);
-    const auto clauses = simp.simplifiedClauses();
-    ASSERT_EQ(clauses.size(), 2u);
-    for (const auto &clause : clauses)
-        EXPECT_LE(clause.size(), 2u);
 }
 
 TEST(Simplifier, EliminatesTseitinAuxiliary)
@@ -128,15 +98,15 @@ TEST(Simplifier, PureLiteralIsEliminated)
 
 TEST(Simplifier, ComplementaryPairCollapsesToUnit)
 {
-    // {a, b} and {a, ~b}: self-subsuming resolution leaves the
-    // unit {a}, fixing a at the top level (not eliminating it).
+    // {a, b} and {a, ~b}: eliminating b leaves the resolvent {a},
+    // fixing the frozen a at the top level (not eliminating it).
     Simplifier simp(2);
     const Lit a = mkLit(0), b = mkLit(1);
     simp.addClause({a, b});
     simp.addClause({a, ~b});
     simp.freeze(0);
-    simp.freeze(1);
     simp.run();
+    EXPECT_TRUE(simp.isEliminated(1));
     EXPECT_FALSE(simp.isEliminated(0));
     const auto clauses = simp.simplifiedClauses();
     ASSERT_EQ(clauses.size(), 1u);
@@ -186,6 +156,60 @@ TEST(Simplifier, ContradictionIsDetected)
     simp.addClause({~a, ~b});
     simp.run();
     EXPECT_TRUE(simp.inconsistent());
+}
+
+/** Recorded BVE output on one table3 instance. */
+struct EliminationPin
+{
+    std::size_t modes;
+    bool algebraicIndependence;
+    std::size_t eliminatedVariables;
+    std::size_t simplifiedClauses;
+};
+
+TEST(Simplifier, EncodingModelEliminationPinned)
+{
+    // The Table 3 preprocessing setup: the construction's clauses
+    // with the operator bits and the reachable totalizer outputs
+    // frozen, no time budget. Any change to what BVE eliminates on
+    // the encoding CNFs moves these counts.
+    const EliminationPin pins[] = {
+        {2, true, 58, 385},    {3, true, 188, 2088},
+        {4, true, 280, 10212}, {2, false, 37, 229},
+        {3, false, 126, 812},  {4, false, 280, 2053},
+    };
+    for (const auto &pin : pins) {
+        core::EncodingModelOptions options;
+        options.modes = pin.modes;
+        options.algebraicIndependence = pin.algebraicIndependence;
+        options.costCap = enc::bravyiKitaev(pin.modes).totalWeight();
+        Solver solver;
+        core::EncodingModel model(solver, options);
+        const Cnf cnf = snapshotCnf(solver);
+        Simplifier simp(cnf.numVars);
+        for (const auto &clause : cnf.clauses)
+            simp.addClause(clause);
+        for (std::size_t s = 0; s < 2 * pin.modes; ++s) {
+            for (std::size_t q = 0; q < pin.modes; ++q) {
+                simp.freeze(litVar(model.bit1(s, q)));
+                simp.freeze(litVar(model.bit2(s, q)));
+            }
+        }
+        const std::size_t outputs =
+            std::min(model.numCostInputs(), options.costCap + 1);
+        for (std::size_t bound = 0; bound < outputs; ++bound)
+            simp.freeze(litVar(model.costAtMostAssumption(bound)));
+        simp.run();
+        ASSERT_FALSE(simp.inconsistent());
+        EXPECT_EQ(simp.stats().eliminatedVariables,
+                  pin.eliminatedVariables)
+            << "N=" << pin.modes
+            << " alg=" << pin.algebraicIndependence;
+        EXPECT_EQ(simp.stats().simplifiedClauses,
+                  pin.simplifiedClauses)
+            << "N=" << pin.modes
+            << " alg=" << pin.algebraicIndependence;
+    }
 }
 
 /** Random 3-SAT instances at mixed clause/variable ratios. */

@@ -207,7 +207,7 @@ TEST(SolverCheck, GeometricRestartsAndRandomBranching)
     solver.checkInvariants();
 }
 
-TEST(SolverCheck, GarbageCollectionReclaimsSubsumedWaste)
+TEST(SolverCheck, GarbageCollectionReclaimsVivifiedWaste)
 {
     sat::Solver solver(checkedConfig());
     const sat::Var a = solver.newVar();
@@ -215,19 +215,24 @@ TEST(SolverCheck, GarbageCollectionReclaimsSubsumedWaste)
     std::vector<sat::Var> pad;
     for (int i = 0; i < 2000; ++i)
         pad.push_back(solver.newVar());
-    // One binary clause subsumes every padded ternary below: the
-    // subsumption pass retires them all, which crosses the
-    // quarter-of-arena waste threshold and forces a collection.
+    // One binary clause implies every padded clause below:
+    // assuming ~a propagates b, so vivification shrinks each
+    // (a, b, p, q) to (a, b). The two retired literal words per
+    // seven-word clause cross the quarter-of-arena waste threshold
+    // and force a collection.
     solver.addClause({mkLit(a), mkLit(b)});
-    for (const sat::Var p : pad)
-        solver.addClause({mkLit(a), mkLit(b), mkLit(p)});
+    for (std::size_t i = 0; i + 1 < pad.size(); i += 2) {
+        solver.addClause({mkLit(a), mkLit(b), mkLit(pad[i]),
+                          mkLit(pad[i + 1])});
+    }
 
     const std::size_t before = solver.arenaWords();
     EXPECT_TRUE(solver.inprocess());
     solver.checkInvariants();
 
     EXPECT_GE(solver.stats().inprocessings, 1u);
-    EXPECT_GT(solver.stats().inprocessSubsumed, 1000u);
+    EXPECT_EQ(solver.stats().vivifiedClauses, 1000u);
+    EXPECT_EQ(solver.stats().vivifiedLiterals, 2000u);
     EXPECT_GE(solver.stats().garbageCollects, 1u);
     EXPECT_GT(solver.stats().reclaimedWords, 0u);
     EXPECT_LT(solver.arenaWords(), before);

@@ -102,9 +102,9 @@ blocker()
 }
 
 /**
- * A strategy that parks inside search() until released — the lever
- * the admission-control and coalescing tests use to hold the
- * dispatcher in a known state.
+ * A strategy that parks inside search() until released or until
+ * its request is cancelled — the lever the admission-control and
+ * coalescing tests use to hold the dispatcher in a known state.
  */
 class BlockingParityStrategy final : public EncodingStrategy
 {
@@ -115,7 +115,8 @@ class BlockingParityStrategy final : public EncodingStrategy
         auto &control = blocker();
         control.entered.fetch_add(1);
         control.executions.fetch_add(1);
-        while (!control.release.load())
+        while (!control.release.load() &&
+               !request.cancellation.cancelled())
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(1));
         SearchOutcome outcome;
@@ -124,6 +125,10 @@ class BlockingParityStrategy final : public EncodingStrategy
         outcome.baselineCost =
             enc::bravyiKitaev(request.resolvedModes())
                 .totalWeight();
+        if (request.cancellation.cancelled()) {
+            outcome.status = ResultStatus::Cancelled;
+            outcome.statusMessage = "cancelled mid-search";
+        }
         return outcome;
     }
 };
@@ -394,6 +399,41 @@ TEST(ServiceFaults, IdenticalInflightRequestsComputeOnce)
                   service.cacheStats().hits,
               3u);
     EXPECT_EQ(service.serviceStats().ok, 4u);
+}
+
+TEST(ServiceFaults, CoalescedFollowerIgnoresLeadersCancel)
+{
+    ensureBlockerRegistered();
+    blocker().reset();
+    ServiceOptions options;
+    options.threads = 2;
+    CompilerService service(options);
+
+    // Two clients send the same spec; only the leader's client
+    // cancels. The follower must not inherit that cancellation: it
+    // searches again under its own (uncancelled) token.
+    CompilationRequest leader_request =
+        fastRequest(4, "test-blocker");
+    const CancellationToken leader_token =
+        leader_request.cancellation;
+    auto leader = service.submit(std::move(leader_request));
+    waitFor([] { return blocker().entered.load() >= 1; },
+            "the leader to start the search");
+    auto follower = service.submit(fastRequest(4, "test-blocker"));
+    waitFor([&] { return service.serviceStats().coalesced >= 1; },
+            "the follower to attach to the leader");
+
+    leader_token.requestCancel();
+    EXPECT_EQ(leader.get().status, ResultStatus::Cancelled);
+    blocker().release = true;
+
+    const auto result = follower.get();
+    EXPECT_EQ(result.status, ResultStatus::Ok)
+        << result.statusMessage;
+    EXPECT_EQ(result.encoding.majoranas, enc::parity(4).majoranas);
+    EXPECT_EQ(blocker().executions.load(), 2);
+    EXPECT_EQ(service.serviceStats().cancelled, 1u);
+    EXPECT_EQ(service.serviceStats().ok, 1u);
 }
 
 // --- the disk cache under injected faults --------------------------

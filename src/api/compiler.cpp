@@ -125,7 +125,8 @@ Compiler::compile(const CompilationRequest &request) const
         fatal(why);
     const auto strategy = makeStrategy(request.strategy);
     Timer timer;
-    const SearchOutcome outcome = strategy->search(request);
+    const SearchOutcome outcome = strategy->search(
+        request, request.deadlineFrom(Timer::nowSeconds()));
     const double search_seconds = timer.seconds();
     CompilationResult result = assemble(request, outcome);
     result.searchSeconds = search_seconds;

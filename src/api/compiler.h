@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "api/cancellation.h"
+#include "common/timer.h"
 #include "core/descent_solver.h"
 #include "encodings/encoding.h"
 #include "fermion/operators.h"
@@ -134,12 +135,12 @@ struct CompilationRequest : sat::EngineConfig
 
     /**
      * Wall-clock deadline for the whole request (<= 0 = none). The
-     * deadline caps every stage's budget; past it the pipeline
-     * degrades to its best-so-far encoding with
-     * ResultStatus::DeadlineExceeded instead of running on. Under a
-     * CompilerService the clock starts at submit(), so time queued
-     * counts against it. An execution knob like the budgets: NOT
-     * part of the cache identity.
+     * deadline bounds every stage and the step and total budgets;
+     * past it the pipeline degrades to its best-so-far encoding
+     * with ResultStatus::DeadlineExceeded instead of running on.
+     * Under a CompilerService the clock starts at submit(), so time
+     * queued counts against it. An execution knob like the budgets:
+     * NOT part of the cache identity.
      */
     double deadlineSeconds = 0.0;
 
@@ -172,6 +173,17 @@ struct CompilationRequest : sat::EngineConfig
      * requestDiagnostic makes first).
      */
     Objective resolvedObjective() const;
+
+    /**
+     * The deadline as an instant (common/timer.h) for a request
+     * whose clock started at `start`: start + deadlineSeconds, or
+     * kNoDeadline when deadlineSeconds <= 0.
+     */
+    double deadlineFrom(double start) const
+    {
+        return deadlineSeconds > 0.0 ? start + deadlineSeconds
+                                     : kNoDeadline;
+    }
 };
 
 /**

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "hw/topology.h"
 
 namespace fermihedral::api {
 
@@ -473,8 +472,8 @@ tryParseRequestSpec(std::string_view text)
         parseDouble(reader.takeField("deadline"));
     if (reader.failed || !step || !total || !deadline)
         return std::nullopt;
-    // Budgets are durations: NaN or negatives would silently turn
-    // into "no limit" downstream, so reject them here.
+    // Budgets are durations: NaN never compares, and a negative
+    // one has no meaning on the wire.
     if (!(*step >= 0.0) || !(*total >= 0.0) || !(*deadline >= 0.0))
         return std::nullopt;
     spec.stepTimeoutSeconds = *step;
@@ -483,19 +482,9 @@ tryParseRequestSpec(std::string_view text)
     if (!reader.atEnd()) {
         spec.topology =
             std::string(reader.takeField("topology"));
-        // The spec must name a real topology: rejecting here turns
-        // a peer's bad bytes into a typed parse failure instead of
-        // a fatal downstream.
-        if (reader.failed || !reader.atEnd() ||
-            !hw::Topology::tryParseSpec(spec.topology))
+        if (reader.failed || !reader.atEnd())
             return std::nullopt;
     }
-    // A routed-cost objective without a topology could never
-    // compile; reject it at the wire boundary so the daemon
-    // answers with a typed error result instead of crashing.
-    if (spec.objective == Objective::RoutedCost &&
-        spec.topology.empty())
-        return std::nullopt;
     return spec;
 }
 

@@ -40,7 +40,12 @@ namespace fermihedral::api {
 /** Serialize a wire request spec (`fermihedral-request v1`). */
 std::string serializeRequestSpec(const RequestSpec &spec);
 
-/** Parse a request spec; std::nullopt on any malformed input. */
+/**
+ * Parse a request spec; std::nullopt on any malformed input. The
+ * check is syntax only: whether the spec names a real model,
+ * strategy and topology that can compile together is
+ * tryBuildRequest's question (api/model_spec.h).
+ */
 std::optional<RequestSpec> tryParseRequestSpec(
     std::string_view text);
 

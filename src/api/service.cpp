@@ -398,15 +398,15 @@ CompilerService::compile(const CompilationRequest &request)
         std::lock_guard lock(cacheMutex);
         ++serving.submitted;
     }
-    return guardedCompile(request, 0.0);
+    return guardedCompile(request, Timer::nowSeconds(), false);
 }
 
 CompilationResult
 CompilerService::guardedCompile(const CompilationRequest &request,
-                                double queue_wait_seconds)
+                                double submitted, bool waited)
 {
     try {
-        return compileImpl(request, queue_wait_seconds);
+        return compileImpl(request, submitted, waited);
     } catch (const std::exception &error) {
         CompilationResult result;
         result.strategy = request.strategy;
@@ -435,7 +435,7 @@ CompilerService::finishResult(const CompilationRequest &request,
 
 CompilationResult
 CompilerService::compileImpl(const CompilationRequest &request,
-                             double queue_wait_seconds)
+                             double submitted, bool waited)
 {
     telemetry::TraceSpan span("service.compile");
     if (span.active())
@@ -452,20 +452,15 @@ CompilerService::compileImpl(const CompilationRequest &request,
         return result;
     }
 
-    // A deadline keeps ticking while the request waits in the
-    // submit queue; a request that spent its whole deadline queued
-    // degrades to the closed-form baseline without searching.
-    double remaining_deadline = request.deadlineSeconds;
-    if (request.deadlineSeconds > 0.0) {
-        remaining_deadline =
-            request.deadlineSeconds - queue_wait_seconds;
-        if (remaining_deadline <= 0.0)
-            return finishResult(
-                request,
-                baselineOutcome(request,
-                                ResultStatus::DeadlineExceeded,
-                                "deadline expired while queued"));
-    }
+    // The deadline runs from submission, so time queued counts;
+    // a request that spent its whole deadline queued degrades to
+    // the closed-form baseline without searching.
+    const double deadline = request.deadlineFrom(submitted);
+    if (waited && Timer::nowSeconds() >= deadline)
+        return finishResult(
+            request,
+            baselineOutcome(request, ResultStatus::DeadlineExceeded,
+                            "deadline expired while queued"));
     if (request.cancellation.cancelled())
         return finishResult(
             request,
@@ -500,14 +495,12 @@ CompilerService::compileImpl(const CompilationRequest &request,
         // running (or done) — never the other way round — so
         // coalescing cannot deadlock the pool. A leader failure
         // rethrows here and guardedCompile converts it.
-        const Timer waited;
         const auto shared = entry->future.get();
         // A degraded outcome answers the leader's deadline or
         // cancellation, not this request's: serve it again under
         // its own deadline (still ticking) and token.
         if (shared->status != ResultStatus::Ok)
-            return compileImpl(request,
-                               queue_wait_seconds + waited.seconds());
+            return compileImpl(request, submitted, true);
         CompilationResult result = finishResult(request, *shared);
         result.coalesced = true;
         return result;
@@ -516,18 +509,8 @@ CompilerService::compileImpl(const CompilationRequest &request,
     Timer timer;
     std::shared_ptr<SearchOutcome> outcome;
     try {
-        const auto strategy = makeStrategy(request.strategy);
-        if (remaining_deadline != request.deadlineSeconds) {
-            // Shrink the deadline by the time already queued. The
-            // copy is only taken on this (deadline-carrying) path.
-            CompilationRequest effective = request;
-            effective.deadlineSeconds = remaining_deadline;
-            outcome = std::make_shared<SearchOutcome>(
-                strategy->search(effective));
-        } else {
-            outcome = std::make_shared<SearchOutcome>(
-                strategy->search(request));
-        }
+        outcome = std::make_shared<SearchOutcome>(
+            makeStrategy(request.strategy)->search(request, deadline));
     } catch (...) {
         {
             std::lock_guard lock(inflightMutex);
@@ -607,27 +590,20 @@ CompilerService::submit(CompilationRequest request)
 
     auto &metrics = ServiceMetrics::get();
     const std::string strategy_name = request.strategy;
-    const std::uint64_t submitted_ns = Timer::nowNs();
+    const double submitted = Timer::nowSeconds();
     std::packaged_task<CompilationResult()> task(
-        [this, submitted_ns, request = std::move(request)] {
+        [this, submitted, request = std::move(request)] {
             auto &m = ServiceMetrics::get();
             m.queueDepth.add(-1);
             struct LatencyGuard
             {
-                std::uint64_t submittedNs;
+                double submitted;
                 telemetry::Histogram &latency;
                 ~LatencyGuard()
                 {
-                    latency.record(
-                        static_cast<double>(Timer::nowNs() -
-                                            submittedNs) *
-                        1e-9);
+                    latency.record(Timer::nowSeconds() - submitted);
                 }
-            } guard{submitted_ns, m.latencySeconds};
-            const double queue_wait =
-                static_cast<double>(Timer::nowNs() -
-                                    submitted_ns) *
-                1e-9;
+            } guard{submitted, m.latencySeconds};
             // Failpoint: a worker dying on the request must
             // surface as an Error result through the future —
             // never a broken promise, never an abort.
@@ -640,7 +616,7 @@ CompilerService::submit(CompilationRequest request)
                 recordStatus(ResultStatus::Error);
                 return result;
             }
-            return guardedCompile(request, queue_wait);
+            return guardedCompile(request, submitted, true);
         });
 
     // Admission control: reject-newest once the queue is at depth.

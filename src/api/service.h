@@ -281,12 +281,18 @@ class CompilerService
 
     /** compileImpl with every failure folded into an Error result. */
     CompilationResult guardedCompile(
-        const CompilationRequest &request,
-        double queue_wait_seconds);
+        const CompilationRequest &request, double submitted,
+        bool waited);
 
-    /** The full serve path: cache, deadline, coalesce, search. */
+    /**
+     * The full serve path: cache, deadline, coalesce, search.
+     * `submitted` is the Timer::nowSeconds() instant the request's
+     * deadline runs from; `waited` says it waited in the submit
+     * queue or on a coalesced leader, and with its deadline gone
+     * it is served the baseline without a search.
+     */
     CompilationResult compileImpl(const CompilationRequest &request,
-                                  double queue_wait_seconds);
+                                  double submitted, bool waited);
 
     /** Assemble + per-status accounting for a finished outcome. */
     CompilationResult finishResult(const CompilationRequest &request,

@@ -1,6 +1,5 @@
 #include "api/strategy_registry.h"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -49,64 +48,17 @@ baselineValue(const CompilationRequest &request)
 }
 
 /**
- * Wall-clock deadline state for one strategy run. The clock starts
- * at construction (strategy entry); cap() shrinks a stage budget to
- * whatever the deadline leaves, so a multi-stage pipeline can never
- * overrun it by more than one budget poll.
- */
-class DeadlineClock
-{
-  public:
-    explicit DeadlineClock(double deadline_seconds)
-        : deadlineSeconds(deadline_seconds)
-    {
-    }
-
-    bool
-    enabled() const
-    {
-        return deadlineSeconds > 0.0;
-    }
-
-    double
-    remaining() const
-    {
-        return deadlineSeconds - timer.seconds();
-    }
-
-    bool
-    expired() const
-    {
-        return enabled() && remaining() <= 0.0;
-    }
-
-    double
-    cap(double budget_seconds) const
-    {
-        if (!enabled())
-            return budget_seconds;
-        return std::min(budget_seconds,
-                        std::max(remaining(), 0.0));
-    }
-
-  private:
-    Timer timer;
-    double deadlineSeconds;
-};
-
-/**
  * Map a descent's termination to the result status. A budget that
  * ran out on its own is a normal anytime answer (Ok); only the
  * caller-visible limits (deadline, cancellation) are reported.
  */
 ResultStatus
-statusFor(core::DescentTermination termination,
-          const DeadlineClock &clock)
+statusFor(core::DescentTermination termination, double deadline)
 {
     if (termination == core::DescentTermination::Cancelled)
         return ResultStatus::Cancelled;
     if (termination == core::DescentTermination::BudgetExhausted &&
-        clock.expired())
+        Timer::nowSeconds() >= deadline)
         return ResultStatus::DeadlineExceeded;
     return ResultStatus::Ok;
 }
@@ -195,7 +147,8 @@ class ClosedFormStrategy final : public EncodingStrategy
     explicit ClosedFormStrategy(Builder builder) : builder(builder) {}
 
     SearchOutcome
-    search(const CompilationRequest &request) const override
+    search(const CompilationRequest &request,
+           double) const override
     {
         SearchOutcome outcome;
         outcome.encoding = builder(request.resolvedModes());
@@ -225,6 +178,22 @@ descentOptions(const CompilationRequest &request,
 }
 
 /**
+ * `request` as the weight-based SAT search sees it: no topology,
+ * and the weight objective that search actually minimises (the
+ * Hamiltonian's weight when there is one, total weight otherwise).
+ */
+CompilationRequest
+weightRequest(const CompilationRequest &request)
+{
+    CompilationRequest weight = request;
+    weight.topology.reset();
+    weight.objective = request.hamiltonian
+                           ? Objective::HamiltonianWeight
+                           : Objective::TotalWeight;
+    return weight;
+}
+
+/**
  * Run `inner` under the weight objective its search actually
  * minimises, then re-score the outcome under the request's
  * routed-cost objective. This is how the weight-based SAT
@@ -235,14 +204,11 @@ descentOptions(const CompilationRequest &request,
  */
 SearchOutcome
 rescoreUnderRoutedCost(const CompilationRequest &request,
-                       const EncodingStrategy &inner)
+                       const EncodingStrategy &inner,
+                       double deadline)
 {
-    CompilationRequest weight = request;
-    weight.topology.reset();
-    weight.objective = request.hamiltonian
-                           ? Objective::HamiltonianWeight
-                           : Objective::TotalWeight;
-    SearchOutcome outcome = inner.search(weight);
+    SearchOutcome outcome =
+        inner.search(weightRequest(request), deadline);
     outcome.cost = objectiveValue(request, outcome.encoding);
     outcome.baselineCost = baselineValue(request);
     outcome.annealedCost = 0;
@@ -268,27 +234,25 @@ class SatStrategy final : public EncodingStrategy
     }
 
     SearchOutcome
-    search(const CompilationRequest &request) const override
+    search(const CompilationRequest &request,
+           double deadline) const override
     {
         if (request.resolvedObjective() == Objective::RoutedCost)
-            return rescoreUnderRoutedCost(request, *this);
+            return rescoreUnderRoutedCost(request, *this, deadline);
         const bool with_alg =
             algebraicIndependence && request.algebraicIndependence;
-        const DeadlineClock clock(request.deadlineSeconds);
         SearchOutcome outcome;
         if (request.resolvedObjective() == Objective::TotalWeight) {
-            auto options = descentOptions(request, with_alg);
-            options.totalTimeoutSeconds =
-                clock.cap(options.totalTimeoutSeconds);
-            core::DescentSolver solver(request.resolvedModes(),
-                                       options);
-            const auto result = solver.solve();
+            core::DescentSolver solver(
+                request.resolvedModes(),
+                descentOptions(request, with_alg));
+            const auto result = solver.solve(deadline);
             outcome.encoding = result.encoding;
             outcome.cost = result.cost;
             outcome.baselineCost = result.baselineCost;
             outcome.provedOptimal = result.provedOptimal;
             outcome.satCalls = result.satCalls;
-            outcome.status = statusFor(result.termination, clock);
+            outcome.status = statusFor(result.termination, deadline);
             outcome.statusMessage = statusDetail(outcome.status);
             return outcome;
         }
@@ -296,33 +260,32 @@ class SatStrategy final : public EncodingStrategy
         // The whole pipeline shares request.totalTimeoutSeconds:
         // half for the independent solve, whatever actually
         // remains for the seeded dependent solve (an early
-        // optimality proof hands its leftover budget on). A
-        // deadline additionally caps every stage and short-circuits
-        // the pipeline down the degradation ladder.
-        Timer timer;
+        // optimality proof hands its leftover budget on). The
+        // deadline additionally bounds every stage and
+        // short-circuits the pipeline down the degradation ladder.
+        const Timer timer;
         const auto &h = *request.hamiltonian;
         auto indep_options = descentOptions(request, with_alg);
         indep_options.stepTimeoutSeconds /= 2.0;
-        indep_options.totalTimeoutSeconds =
-            clock.cap(indep_options.totalTimeoutSeconds / 2.0);
+        indep_options.totalTimeoutSeconds /= 2.0;
         core::DescentSolver indep_solver(h.modes(), indep_options);
-        const auto indep = indep_solver.solve();
+        const auto indep = indep_solver.solve(deadline);
         if (indep.termination ==
             core::DescentTermination::Cancelled)
             return degradeAfterIndependent(
                 request, indep, ResultStatus::Cancelled);
-        if (clock.expired())
+        if (Timer::nowSeconds() >= deadline)
             return degradeAfterIndependent(
                 request, indep, ResultStatus::DeadlineExceeded);
         const auto annealed =
             core::annealPairing(indep.encoding, h);
 
         auto full_options = descentOptions(request, with_alg);
-        full_options.totalTimeoutSeconds = clock.cap(std::max(
-            request.totalTimeoutSeconds - timer.seconds(), 0.0));
+        full_options.totalTimeoutSeconds =
+            request.totalTimeoutSeconds - timer.seconds();
         full_options.seedEncoding = annealed.encoding;
         core::DescentSolver full_solver(h, full_options);
-        const auto full = full_solver.solve();
+        const auto full = full_solver.solve(deadline);
 
         outcome.baselineCost = full.baselineCost;
         outcome.annealedCost = annealed.finalCost;
@@ -335,7 +298,7 @@ class SatStrategy final : public EncodingStrategy
             outcome.encoding = annealed.encoding;
             outcome.cost = annealed.finalCost;
         }
-        outcome.status = statusFor(full.termination, clock);
+        outcome.status = statusFor(full.termination, deadline);
         outcome.statusMessage = statusDetail(outcome.status);
         return outcome;
     }
@@ -373,24 +336,22 @@ class SatAnnealingStrategy final : public EncodingStrategy
     }
 
     SearchOutcome
-    search(const CompilationRequest &request) const override
+    search(const CompilationRequest &request,
+           double deadline) const override
     {
         if (request.resolvedObjective() == Objective::RoutedCost)
-            return rescoreUnderRoutedCost(request, *this);
+            return rescoreUnderRoutedCost(request, *this, deadline);
         const auto &h = *request.hamiltonian;
 
-        const DeadlineClock clock(request.deadlineSeconds);
-        auto options =
-            descentOptions(request, request.algebraicIndependence);
-        options.totalTimeoutSeconds =
-            clock.cap(options.totalTimeoutSeconds);
-        core::DescentSolver solver(h.modes(), options);
-        const auto indep = solver.solve();
+        core::DescentSolver solver(
+            h.modes(),
+            descentOptions(request, request.algebraicIndependence));
+        const auto indep = solver.solve(deadline);
         if (indep.termination ==
             core::DescentTermination::Cancelled)
             return degradeAfterIndependent(
                 request, indep, ResultStatus::Cancelled);
-        if (clock.expired())
+        if (Timer::nowSeconds() >= deadline)
             return degradeAfterIndependent(
                 request, indep, ResultStatus::DeadlineExceeded);
 
@@ -430,15 +391,11 @@ class SatRoutedStrategy final : public EncodingStrategy
     }
 
     SearchOutcome
-    search(const CompilationRequest &request) const override
+    search(const CompilationRequest &request,
+           double deadline) const override
     {
-        CompilationRequest weight = request;
-        weight.topology.reset();
-        weight.objective = request.hamiltonian
-                               ? Objective::HamiltonianWeight
-                               : Objective::TotalWeight;
-        const SatStrategy sat(true);
-        SearchOutcome outcome = sat.search(weight);
+        SearchOutcome outcome =
+            SatStrategy(true).search(weightRequest(request), deadline);
 
         const auto placed = hw::optimizePlacement(
             outcome.encoding, *request.topology,
@@ -475,18 +432,15 @@ class PickRoutedStrategy final : public EncodingStrategy
     }
 
     SearchOutcome
-    search(const CompilationRequest &request) const override
+    search(const CompilationRequest &request,
+           double deadline) const override
     {
         const fermion::FermionHamiltonian *h =
             request.hamiltonian ? &*request.hamiltonian : nullptr;
         const std::size_t modes = request.resolvedModes();
 
-        CompilationRequest weight = request;
-        weight.topology.reset();
-        weight.objective = h ? Objective::HamiltonianWeight
-                             : Objective::TotalWeight;
-        const SatStrategy sat_strategy(true);
-        const SearchOutcome sat = sat_strategy.search(weight);
+        const SearchOutcome sat =
+            SatStrategy(true).search(weightRequest(request), deadline);
 
         std::vector<enc::FermionEncoding> candidates;
         for (const auto builder :

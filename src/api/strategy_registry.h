@@ -68,10 +68,13 @@ class EncodingStrategy
 
     /**
      * Produce an encoding (and its search provenance) for a request
-     * requestDiagnostic() accepted.
+     * requestDiagnostic() accepted, by `deadline`: the request's
+     * deadline as an instant (CompilationRequest::deadlineFrom),
+     * which bounds every stage. A search cut short by it reports
+     * ResultStatus::DeadlineExceeded.
      */
-    virtual SearchOutcome search(
-        const CompilationRequest &request) const = 0;
+    virtual SearchOutcome search(const CompilationRequest &request,
+                                 double deadline) const = 0;
 };
 
 /** Factory producing a strategy instance. */

@@ -1,6 +1,7 @@
 /**
  * @file
- * Wall-clock stopwatch used by the descent solver budgets, the
+ * Wall-clock stopwatch and deadline instants, used by every
+ * wall-clock budget (SAT calls, the descent, request deadlines), the
  * time-to-solution benchmarks (Figure 11) and the telemetry span
  * recorder (common/telemetry.h).
  *
@@ -14,6 +15,11 @@
  *  - nowNs() readings from different threads share one epoch (the
  *    steady clock's), so cross-thread span timelines are directly
  *    comparable.
+ *  - A deadline is one absolute instant on that clock, in
+ *    nowSeconds() units. kNoDeadline (+infinity) never arrives, so
+ *    limits combine with std::min and expire on one comparison
+ *    (nowSeconds() >= deadline); no layer keeps an "unlimited"
+ *    sentinel of its own.
  */
 
 #ifndef FERMIHEDRAL_COMMON_TIMER_H
@@ -21,6 +27,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 namespace fermihedral {
 
@@ -67,10 +74,31 @@ class Timer
                 .count());
     }
 
+    /** nowNs() in seconds: the scale deadlines are instants on. */
+    static double
+    nowSeconds()
+    {
+        return static_cast<double>(nowNs()) * 1e-9;
+    }
+
   private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start;
 };
+
+/** The deadline that never arrives (see the file comment). */
+inline constexpr double kNoDeadline =
+    std::numeric_limits<double>::infinity();
+
+/**
+ * The instant `seconds` from now. Zero or less is already due, and
+ * a huge budget such as 1e308 stays a finite, unreachable instant.
+ */
+inline double
+deadlineIn(double seconds)
+{
+    return Timer::nowSeconds() + seconds;
+}
 
 } // namespace fermihedral
 

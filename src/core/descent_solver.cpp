@@ -66,7 +66,7 @@ DescentSolver::afterStep(std::size_t sat_calls)
 }
 
 DescentResult
-DescentSolver::solve()
+DescentSolver::solve(double deadline)
 {
     Timer total_timer;
     telemetry::TraceSpan run_span("descent.run");
@@ -109,17 +109,18 @@ DescentSolver::solve()
     result.encoding = start;
     result.cost = start_cost;
 
-    // Degenerate-budget / pre-cancelled fast path: the start
-    // encoding is already the answer, so skip solver and model
-    // construction entirely. This keeps a zero-deadline request
-    // deterministic (and cheap) instead of racing the construction
-    // against the clock.
+    // No-time / pre-cancelled fast path: the start encoding is
+    // already the answer, so skip solver and model construction
+    // entirely. This keeps a zero-budget or expired-deadline
+    // request deterministic (and cheap) instead of racing the
+    // construction against the clock.
     const auto stop_requested = [this] {
         return options.stopFlag &&
                options.stopFlag->load(std::memory_order_relaxed);
     };
     if (start_cost > 0 &&
-        (stop_requested() || options.totalTimeoutSeconds <= 0.0)) {
+        (stop_requested() || options.totalTimeoutSeconds <= 0.0 ||
+         Timer::nowSeconds() >= deadline)) {
         result.termination = stop_requested()
                                  ? DescentTermination::Cancelled
                                  : DescentTermination::BudgetExhausted;
@@ -154,16 +155,17 @@ DescentSolver::solve()
     std::size_t best = start_cost;
     auto &step_seconds = telemetry::MetricsRegistry::global()
                              .histogram("descent.step_seconds");
+    // The total budget starts now, so construction stays outside
+    // it; the caller's deadline bounds it as well.
+    const double solve_deadline =
+        std::min(deadlineIn(options.totalTimeoutSeconds), deadline);
     Timer solve_timer;
     while (best > 0) {
         if (stop_requested()) {
             result.termination = DescentTermination::Cancelled;
             break;
         }
-        const double elapsed = solve_timer.seconds();
-        const double remaining =
-            options.totalTimeoutSeconds - elapsed;
-        if (remaining <= 0) {
+        if (Timer::nowSeconds() >= solve_deadline) {
             result.termination =
                 DescentTermination::BudgetExhausted;
             break;
@@ -175,8 +177,8 @@ DescentSolver::solve()
         model->boundCostAtMost(asked);
 
         sat::Budget budget;
-        budget.maxSeconds =
-            std::min(options.stepTimeoutSeconds, remaining);
+        budget.deadline = std::min(
+            deadlineIn(options.stepTimeoutSeconds), solve_deadline);
         budget.stopFlag = options.stopFlag;
         const Timer step_timer;
         const sat::SolveStatus status = solver->solve({}, budget);
@@ -266,7 +268,8 @@ DescentSolver::enumerateOptimal(std::size_t count,
     // of best - 1 asserted, so re-solve at exactly `cost` using the
     // assumption-free model with a fresh solver would be costly;
     // instead rebuild once at the optimal bound).
-    Timer timer;
+    sat::Budget budget;
+    budget.deadline = deadlineIn(timeout_seconds);
     solver = makeSolver();
     inprocessedConflicts = 0;
     EncodingModelOptions model_options;
@@ -282,12 +285,8 @@ DescentSolver::enumerateOptimal(std::size_t count,
     if (options.warmStart)
         model->warmStart(lastResult->encoding);
 
+    // Past the deadline solve() returns Unknown before deciding.
     while (encodings.size() < count) {
-        const double remaining = timeout_seconds - timer.seconds();
-        if (remaining <= 0)
-            break;
-        sat::Budget budget;
-        budget.maxSeconds = remaining;
         if (solver->solve({}, budget) != sat::SolveStatus::Sat)
             break;
         encodings.push_back(model->decode());

@@ -19,6 +19,12 @@
  *  - solve() always returns a valid encoding: the Bravyi-Kitaev
  *    baseline is feasible by construction, so even a zero budget
  *    yields DescentResult::encoding with cost == baselineCost.
+ *  - Budgets are deadlines (common/timer.h): once the model is
+ *    built, solve() fixes one solve deadline, now + total budget
+ *    capped by the caller's deadline, so construction stays
+ *    outside the total. Each SAT step runs to min(now + step
+ *    budget, solve deadline). A budget of 0 gives its scope no
+ *    time; none of them means "unlimited".
  *  - result.cost is exact under the run's objective and equals
  *    costOf(result.encoding); provedOptimal is set only on a true
  *    UNSAT at cost - 1 (never on a timeout).
@@ -38,6 +44,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/encoding_model.h"
 #include "encodings/encoding.h"
 #include "fermion/operators.h"
@@ -102,7 +109,10 @@ struct DescentOptions : sat::EngineConfig
     /** Wall-clock budget for each individual SAT call (seconds). */
     double stepTimeoutSeconds = 30.0;
 
-    /** Wall-clock budget for the whole descent (seconds). */
+    /**
+     * Wall-clock budget for the descent loop (seconds), counted
+     * from the end of model construction.
+     */
     double totalTimeoutSeconds = 300.0;
 
     /**
@@ -185,8 +195,11 @@ class DescentSolver
     DescentSolver(const fermion::FermionHamiltonian &hamiltonian,
                   const DescentOptions &options);
 
-    /** Run Algorithm 1. */
-    DescentResult solve();
+    /**
+     * Run Algorithm 1, stopping at `deadline` (a Timer::nowSeconds()
+     * instant) or at the budgets, whichever comes first.
+     */
+    DescentResult solve(double deadline = kNoDeadline);
 
     /**
      * After solve(), enumerate up to `count` further distinct

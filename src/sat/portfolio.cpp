@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/telemetry.h"
@@ -211,7 +209,7 @@ PortfolioSolver::freeze(Var var)
 }
 
 void
-PortfolioSolver::build(bool skip_preprocess)
+PortfolioSolver::build(bool skip_preprocess, double deadline)
 {
     require(!built, "portfolio built twice");
     telemetry::TraceSpan span("portfolio.build");
@@ -231,7 +229,8 @@ PortfolioSolver::build(bool skip_preprocess)
             if (frozenVars[var])
                 simplifier->freeze(static_cast<Var>(var));
         }
-        simplifier->run(kPreprocessBudgetSeconds);
+        simplifier->run(std::min(
+            deadlineIn(kPreprocessBudgetSeconds), deadline));
         portfolio.simplifier = simplifier->stats();
         if (simplifier->inconsistent())
             topLevelUnsat = true;
@@ -303,7 +302,8 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
                        const Budget &budget)
 {
     if (!built)
-        build(/*skip_preprocess=*/!assumptions.empty());
+        build(/*skip_preprocess=*/!assumptions.empty(),
+              budget.deadline);
     telemetry::TraceSpan span("portfolio.solve");
     if (span.active()) {
         span.arg("instances", instanceCount);
@@ -324,33 +324,11 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
     } else {
         std::vector<SolveStatus> results(instanceCount,
                                          SolveStatus::Unknown);
-        // One shared cancellation flag: the first racing winner
-        // raises it for everyone. Deterministic mode never cancels
-        // and passes the caller's own flag straight through.
-        std::atomic<bool> stop{false};
+        // One race flag: the first racing winner raises it for
+        // everyone. Deterministic mode never cancels, so its
+        // instances see only the caller's own budget.
+        std::atomic<bool> race{false};
         std::atomic<int> first_decisive{-1};
-        Timer solve_timer;
-
-        // Racing instances watch the shared flag instead of the
-        // caller's, so a caller-supplied Budget::stopFlag must be
-        // relayed into it by a polling watcher.
-        std::atomic<bool> watcher_done{false};
-        std::thread watcher;
-        if (!config.deterministic && budget.stopFlag) {
-            watcher = std::thread([&] {
-                while (!watcher_done.load(
-                    std::memory_order_relaxed)) {
-                    if (budget.stopFlag->load(
-                            std::memory_order_relaxed)) {
-                        stop.store(true,
-                                   std::memory_order_relaxed);
-                        return;
-                    }
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(5));
-                }
-            });
-        }
 
         pool->forEach(instanceCount, [&](std::size_t i) {
             // One span per instance, recorded on the worker thread
@@ -359,23 +337,13 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
             telemetry::TraceSpan instance_span("portfolio.instance");
             if (instance_span.active())
                 instance_span.arg("instance", i);
+            // Every instance shares the caller's deadline, so with
+            // fewer threads than instances the stragglers only get
+            // what the earlier finishers left over, and the call
+            // never overshoots it by a factor of the portfolio size.
             Budget local = budget;
             if (!config.deterministic)
-                local.stopFlag = &stop;
-            // The wall budget bounds this solve() call, not each
-            // instance: with fewer threads than instances the
-            // stragglers only get what the earlier finishers left
-            // over, so the call never overshoots the caller's
-            // budget by a factor of the portfolio size.
-            if (budget.maxSeconds > 0) {
-                local.maxSeconds =
-                    budget.maxSeconds - solve_timer.seconds();
-                if (local.maxSeconds <= 0) {
-                    if (instance_span.active())
-                        instance_span.arg("status", "skipped");
-                    return; // stays Unknown
-                }
-            }
+                local.raceFlag = &race;
             const SolveStatus result =
                 instances[i]->solve(assumptions, local);
             results[i] = result;
@@ -403,14 +371,9 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
             int expected = -1;
             if (first_decisive.compare_exchange_strong(
                     expected, static_cast<int>(i))) {
-                stop.store(true, std::memory_order_relaxed);
+                race.store(true, std::memory_order_relaxed);
             }
         });
-
-        if (watcher.joinable()) {
-            watcher_done.store(true, std::memory_order_relaxed);
-            watcher.join();
-        }
 
         if (config.deterministic) {
             // Fixed arbitration: the decisive instance with the

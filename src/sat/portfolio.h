@@ -8,12 +8,12 @@
  * (different EVSIDS seeds, phase policies and restart schedules)
  * over a shared ThreadPool on every solve() call. Instances share
  * no clauses: each learns only from its own search, and the one
- * thing they share is the Budget stop flag that cancels the
- * losers of a race.
+ * thing they share is the race flag that cancels the losers of a
+ * race.
  *
  * Two arbitration modes:
  *  - racing (deterministic = false): first Sat/Unsat wins and all
- *    other instances are stopped through the shared stop flag. The
+ *    other instances are stopped through the shared race flag. The
  *    winning instance — and hence the model — may differ run to
  *    run.
  *  - deterministic (the default): nobody is cancelled, and the
@@ -41,10 +41,14 @@
  *  - With portfolioInstances = 1, deterministic = true and
  *    preprocessing off, solve behaviour is bit-identical to a
  *    plain Solver fed the same calls.
- *  - Budget.maxSeconds bounds the whole solve() call's wall
- *    clock, not each instance: with fewer threads than instances
- *    the stragglers only get whatever the earlier finishers left
- *    over. Conflict budgets stay per instance.
+ *  - Budget.deadline bounds the whole solve() call, not each
+ *    instance: every instance gets the caller's deadline, so with
+ *    fewer threads than instances the stragglers only get whatever
+ *    the earlier finishers left over. It also caps the first
+ *    call's preprocessing. Conflict budgets stay per instance.
+ *  - Racing instances stop on the caller's Budget.stopFlag and on
+ *    the portfolio's own race flag (Budget.raceFlag); no thread
+ *    relays one into the other.
  */
 
 #ifndef FERMIHEDRAL_SAT_PORTFOLIO_H
@@ -173,7 +177,7 @@ class PortfolioSolver final : public SolverBase
     mutable PortfolioStats portfolio;
     mutable SolverStats aggregateCache;
 
-    void build(bool skip_preprocess);
+    void build(bool skip_preprocess, double deadline);
     void checkIncrementalLits(std::span<const Lit> literals) const;
     void publishModel(const Solver &winner);
 };

@@ -33,11 +33,7 @@ Simplifier::Simplifier(std::size_t num_vars)
 bool
 Simplifier::overBudget() const
 {
-    if (budgetSeconds <= 0.0)
-        return false;
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - budgetStart;
-    return elapsed.count() >= budgetSeconds;
+    return Timer::nowSeconds() >= deadline;
 }
 
 bool
@@ -45,8 +41,6 @@ Simplifier::pollBudget()
 {
     // The clock read costs more than a cheap queue step does:
     // sample it instead of reading it on every iteration.
-    if (budgetSeconds <= 0.0)
-        return false;
     if ((++budgetTick & 63u) != 0)
         return false;
     return overBudget();
@@ -320,14 +314,13 @@ Simplifier::eliminationPass(bool &changed)
 }
 
 void
-Simplifier::run(double time_budget_seconds)
+Simplifier::run(double run_deadline)
 {
     require(!ran, "Simplifier::run() may only be called once");
     ran = true;
     telemetry::TraceSpan span("sat.simplify");
     const Timer run_timer;
-    budgetSeconds = time_budget_seconds;
-    budgetStart = std::chrono::steady_clock::now();
+    deadline = run_deadline;
     budgetTick = 0;
     for (std::size_t round = 0; round < kMaxRounds; ++round) {
         if (overBudget())

@@ -41,12 +41,12 @@
 #ifndef FERMIHEDRAL_SAT_PREPROCESS_H
 #define FERMIHEDRAL_SAT_PREPROCESS_H
 
-#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
 
+#include "common/timer.h"
 #include "sat/types.h"
 
 namespace fermihedral::sat {
@@ -84,14 +84,13 @@ class Simplifier
     void freeze(Var var);
 
     /**
-     * Run the simplification pipeline once. Stops once
-     * `time_budget_seconds` of wall-clock has elapsed (<= 0 =
-     * unlimited): checked between rounds and periodically inside
-     * the elimination pass; stopping anywhere is sound because
-     * every elimination preserves equisatisfiability and the
-     * witness stack on its own.
+     * Run the simplification pipeline once. Stops at `deadline`, a
+     * Timer::nowSeconds() instant (common/timer.h): checked between
+     * rounds and periodically inside the elimination pass; stopping
+     * anywhere is sound because every elimination preserves
+     * equisatisfiability and the witness stack on its own.
      */
-    void run(double time_budget_seconds = -1.0);
+    void run(double deadline = kNoDeadline);
 
     /** True when the input was refuted at the top level. */
     bool inconsistent() const { return contradiction; }
@@ -152,8 +151,7 @@ class Simplifier
     SimplifierStats statistics;
 
     /** Effort-budget state, valid during run() only. */
-    double budgetSeconds = -1.0;
-    std::chrono::steady_clock::time_point budgetStart;
+    double deadline = kNoDeadline;
     std::uint32_t budgetTick = 0;
 
     bool overBudget() const;

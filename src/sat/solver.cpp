@@ -859,14 +859,6 @@ Solver::luby(std::uint64_t i)
     return std::uint64_t{1} << seq;
 }
 
-double
-Solver::now() const
-{
-    // Timer::nowNs is the project-wide monotonic tick; sharing it
-    // keeps budget checks on the same timeline as telemetry spans.
-    return static_cast<double>(Timer::nowNs()) * 1e-9;
-}
-
 std::uint64_t
 Solver::restartLimit(std::uint64_t round) const
 {
@@ -885,7 +877,7 @@ Solver::restartLimit(std::uint64_t round) const
 }
 
 bool
-Solver::budgetExpired(const Budget &budget, double start_time,
+Solver::budgetExpired(const Budget &budget,
                       std::uint64_t start_conflicts) const
 {
     // Fault rehearsal: a forced expiry exercises every degradation
@@ -893,24 +885,23 @@ Solver::budgetExpired(const Budget &budget, double start_time,
     // ResultStatus). One relaxed load when no failpoint is armed.
     if (failpoint::fire("sat.budget.expire"))
         return true;
-    if (budget.stopFlag &&
-        budget.stopFlag->load(std::memory_order_relaxed)) {
-        return true;
+    for (const std::atomic<bool> *flag :
+         {budget.stopFlag, budget.raceFlag}) {
+        if (flag && flag->load(std::memory_order_relaxed))
+            return true;
     }
     if (budget.maxConflicts >= 0 &&
         statistics.conflicts - start_conflicts >=
             static_cast<std::uint64_t>(budget.maxConflicts)) {
         return true;
     }
-    if (budget.maxSeconds > 0 &&
-        now() - start_time >= budget.maxSeconds) {
-        return true;
-    }
-    return false;
+    // The deadline shares Timer's clock, and with it the telemetry
+    // spans' timeline.
+    return Timer::nowSeconds() >= budget.deadline;
 }
 
 SolveStatus
-Solver::search(const Budget &budget, double start_time)
+Solver::search(const Budget &budget)
 {
     const std::uint64_t start_conflicts = statistics.conflicts;
     std::uint64_t restart_round = 0;
@@ -943,7 +934,7 @@ Solver::search(const Budget &budget, double start_time)
             heap.decay();
             claDecayActivity();
             if ((statistics.conflicts & 0x3ff) == 0 &&
-                budgetExpired(budget, start_time, start_conflicts)) {
+                budgetExpired(budget, start_conflicts)) {
                 cancelUntil(0);
                 return SolveStatus::Unknown;
             }
@@ -959,7 +950,7 @@ Solver::search(const Budget &budget, double start_time)
             cancelUntil(0);
             continue;
         }
-        if (budgetExpired(budget, start_time, start_conflicts)) {
+        if (budgetExpired(budget, start_conflicts)) {
             cancelUntil(0);
             return SolveStatus::Unknown;
         }
@@ -1011,8 +1002,7 @@ Solver::solve(std::span<const Lit> assumptions, const Budget &budget)
     maybeCheck();
     telemetry::TraceSpan span("sat.solve");
     const SolverStats before = statistics;
-    const double start_time = now();
-    const SolveStatus status = search(budget, start_time);
+    const SolveStatus status = search(budget);
     cancelUntil(0);
     assumptionList.clear();
     maybeCheck();

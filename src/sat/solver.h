@@ -327,17 +327,16 @@ class Solver final : public SolverBase
     std::vector<LBool> model;
     SolverStats statistics;
 
-    SolveStatus search(const Budget &budget, double start_time);
+    SolveStatus search(const Budget &budget);
     std::uint64_t restartLimit(std::uint64_t round) const;
     static std::uint64_t luby(std::uint64_t i);
-    double now() const;
 
     /** Push this solve's stat deltas into the metrics registry. */
     void publishTelemetry(const SolverStats &before,
                           SolveStatus status,
                           telemetry::TraceSpan &span) const;
 
-    bool budgetExpired(const Budget &budget, double start_time,
+    bool budgetExpired(const Budget &budget,
                        std::uint64_t start_conflicts) const;
 
     bool selfCheckEnabled() const;

@@ -16,8 +16,9 @@
  *  - After solve() returns Sat, modelValue() is defined for every
  *    created variable and satisfies every added clause; after
  *    Unsat the formula (under the given assumptions) has no model;
- *    Unknown is returned only when the Budget expired (or an
- *    external stop was requested).
+ *    Unknown is returned only when the Budget ran out: its
+ *    conflict limit or deadline passed, or its stop or race flag
+ *    was raised.
  *  - Clauses and variables may be added between solve() calls.
  *  - freeze() is a hint, never a behavioural requirement for
  *    correct callers: it marks a variable as part of the caller's
@@ -34,6 +35,7 @@
 #include <initializer_list>
 #include <span>
 
+#include "common/timer.h"
 #include "sat/types.h"
 
 namespace fermihedral::sat {
@@ -41,19 +43,27 @@ namespace fermihedral::sat {
 /** Outcome of a solve() call. */
 enum class SolveStatus { Sat, Unsat, Unknown };
 
-/** Resource limits for one solve() call. */
+/**
+ * Resource limits for one solve() call: the search returns Unknown
+ * at the first budget poll where any of them has run out.
+ */
 struct Budget
 {
     /** Maximum number of conflicts (no limit when negative). */
     std::int64_t maxConflicts = -1;
-    /** Maximum wall-clock seconds (no limit when <= 0). */
-    double maxSeconds = -1.0;
     /**
-     * Optional external cancellation: when the pointed-to flag
-     * becomes true the solve returns Unknown at the next budget
-     * check. The portfolio uses this for first-finisher-wins.
+     * Absolute wall-clock deadline, a Timer::nowSeconds() instant
+     * (common/timer.h). kNoDeadline never arrives; an instant
+     * already past leaves the call no search time.
      */
+    double deadline = kNoDeadline;
+    /** The caller's cancellation: stop once the flag reads true. */
     const std::atomic<bool> *stopFlag = nullptr;
+    /**
+     * The portfolio's race flag, raised by the first racing winner
+     * to stop the other instances. Set by PortfolioSolver only.
+     */
+    const std::atomic<bool> *raceFlag = nullptr;
 };
 
 /** Aggregate counters exposed for benchmarks and tests. */

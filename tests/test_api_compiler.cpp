@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <unistd.h>
 
@@ -92,7 +94,8 @@ TEST(StrategyRegistry, CustomStrategyIsARegistrationNotARefactor)
     {
       public:
         SearchOutcome
-        search(const CompilationRequest &request) const override
+        search(const CompilationRequest &request,
+               double) const override
         {
             SearchOutcome outcome;
             outcome.encoding =
@@ -220,6 +223,31 @@ TEST(Compiler, ObjectiveMismatchIsFatal)
     total.hamiltonian = fermion::fermiHubbard1D(2, 1.0, 4.0);
     total.objective = Objective::TotalWeight;
     EXPECT_THROW(Compiler().compile(total), FatalError);
+}
+
+TEST(Compiler, ZeroStepBudgetEndsWithinTheTotal)
+{
+    // A step budget of 0 gives every SAT call no time. It must never
+    // become an unbounded call: one unbounded step on modes:6
+    // without the algebraic clauses runs for minutes. A miss
+    // cancels the request so the failure cannot hang the binary.
+    CompilationRequest request = fastRequest(6, "sat-noalg");
+    request.stepTimeoutSeconds = 0.0;
+    request.totalTimeoutSeconds = 1.0;
+    auto running = std::async(std::launch::async, [request] {
+        return Compiler().compile(request);
+    });
+    const bool in_time = running.wait_for(std::chrono::seconds(5)) ==
+                         std::future_status::ready;
+    if (!in_time)
+        request.cancellation.requestCancel();
+    const CompilationResult result = running.get();
+    ASSERT_TRUE(in_time) << "a zero step budget ran unbounded";
+    EXPECT_EQ(result.status, ResultStatus::Ok);
+    EXPECT_TRUE(result.validation.valid());
+    EXPECT_EQ(result.cost, result.baselineCost);
+    EXPECT_EQ(result.satCalls, 1u);
+    EXPECT_FALSE(result.provedOptimal);
 }
 
 /** The FatalError message `call` throws ("" when it returns). */
@@ -398,7 +426,7 @@ class FailingStrategy final : public EncodingStrategy
 {
   public:
     SearchOutcome
-    search(const CompilationRequest &) const override
+    search(const CompilationRequest &, double) const override
     {
         fatal("failing-search: the search failed");
     }

@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -21,6 +24,7 @@
 #include "api/model_spec.h"
 #include "api/serialize.h"
 #include "api/service.h"
+#include "common/timer.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
@@ -164,6 +168,79 @@ TEST_F(NetDaemonTest, DeadlinePropagatesThroughTheWire)
     EXPECT_GT(result->encoding.numQubits(), 0u);
 }
 
+/**
+ * Send one COMPILE and wait up to `limit` for its RESULT. A reply
+ * that misses the limit is cancelled, so a search that ignores its
+ * budgets fails the test instead of hanging it: nullopt.
+ */
+std::optional<CompileReply>
+compileWithin(EncodingClient &client, std::uint64_t id,
+              const api::RequestSpec &spec, std::chrono::seconds limit)
+{
+    client.sendCompile(id, spec);
+    auto reply = std::async(std::launch::async, [&client] {
+        const auto frame = client.readMessage();
+        return frame ? EncodingClient::decodeReply(*frame)
+                     : CompileReply{};
+    });
+    if (reply.wait_for(limit) == std::future_status::ready)
+        return reply.get();
+    client.sendCancel(id);
+    reply.wait();
+    return std::nullopt;
+}
+
+TEST_F(NetDaemonTest, ZeroStepBudgetIsAnsweredWithinTheTotal)
+{
+    ServerOptions options;
+    options.unixPath = socketPath();
+    RunningDaemon daemon(options);
+    EncodingClient client = EncodingClient::overUnix(socketPath());
+
+    // step-timeout 0 gives each SAT call no time; the daemon must
+    // answer within the 1 s total, not run one unbounded call.
+    api::RequestSpec spec;
+    spec.problem = "modes:6";
+    spec.strategy = "sat-noalg";
+    spec.stepTimeoutSeconds = 0.0;
+    spec.totalTimeoutSeconds = 1.0;
+    spec.deadlineSeconds = 2.0;
+    const auto reply =
+        compileWithin(client, 1, spec, std::chrono::seconds(5));
+    ASSERT_TRUE(reply.has_value()) << "a zero step budget hung";
+    EXPECT_EQ(reply->requestId, 1u);
+    EXPECT_EQ(reply->status, api::ResultStatus::Ok);
+    const auto result = api::tryParseResult(reply->resultText);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->satCalls, 1u);
+}
+
+TEST_F(NetDaemonTest, HugeStepBudgetIsBoundedByTheTotal)
+{
+    ServerOptions options;
+    options.unixPath = socketPath();
+    RunningDaemon daemon(options);
+    EncodingClient client = EncodingClient::overUnix(socketPath());
+
+    // A 1e308 s step budget is a finite, unreachable instant: the
+    // 0.5 s total still ends the descent (modes:6 without the
+    // algebraic clauses cannot finish its descent in that time).
+    api::RequestSpec spec;
+    spec.problem = "modes:6";
+    spec.strategy = "sat-noalg";
+    spec.stepTimeoutSeconds = 1e308;
+    spec.totalTimeoutSeconds = 0.5;
+    const Timer timer;
+    const auto reply =
+        compileWithin(client, 1, spec, std::chrono::seconds(5));
+    ASSERT_TRUE(reply.has_value()) << "the total budget did not bind";
+    EXPECT_EQ(reply->status, api::ResultStatus::Ok);
+    const auto result = api::tryParseResult(reply->resultText);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_FALSE(result->provedOptimal);
+    EXPECT_GE(timer.seconds(), 0.5);
+}
+
 TEST_F(NetDaemonTest, ShardedStoreSurvivesRestartWithoutRecompute)
 {
     const std::string store = (dir / "store").string();
@@ -286,9 +363,9 @@ TEST_F(NetDaemonTest, TopologyRequestsRoundTripAndRejectCleanly)
     RunningDaemon daemon(options);
     EncodingClient client = EncodingClient::overUnix(socketPath());
 
-    // routed-cost without a topology can never compile: the wire
-    // parser rejects the spec and the daemon answers a typed Error
-    // RESULT while the connection stays healthy.
+    // routed-cost without a topology can never compile: request
+    // building rejects the spec and the daemon answers a typed
+    // Error RESULT while the connection stays healthy.
     api::RequestSpec bad;
     bad.problem = "modes:3";
     bad.strategy = "sat";

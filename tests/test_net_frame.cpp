@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "api/model_spec.h"
 #include "api/serialize.h"
 #include "net/connection.h"
 #include "net/frame.h"
@@ -243,29 +244,41 @@ TEST(NetFrame, CompileSpecTopologyLineRoundTrips)
 
 TEST(NetFrame, CompileSpecRejectsBadTopologyCombinations)
 {
+    // The wire parser checks syntax only; tryBuildRequest rejects
+    // what cannot compile, with a diagnostic the daemon returns in
+    // a typed Error result.
+    const auto rejection = [](const std::string &payload) {
+        const auto parsed = api::tryParseRequestSpec(payload);
+        if (!parsed)
+            return std::string("malformed");
+        std::string error;
+        EXPECT_FALSE(api::tryBuildRequest(*parsed, &error).has_value());
+        return error;
+    };
     api::RequestSpec spec;
     spec.problem = "h2";
     spec.topology = "grid:2x4";
     const std::string good = api::serializeRequestSpec(spec);
-    ASSERT_TRUE(api::tryParseRequestSpec(good).has_value());
+    const auto parsed = api::tryParseRequestSpec(good);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(api::tryBuildRequest(*parsed, nullptr).has_value());
 
-    // routed-cost with no topology line could never compile; the
-    // wire parser rejects it instead of letting it fatal later.
+    // routed-cost with no topology line could never compile.
     api::RequestSpec routed;
     routed.problem = "h2";
     routed.objective = api::Objective::RoutedCost;
     std::string no_topology = api::serializeRequestSpec(routed);
     EXPECT_EQ(no_topology.find("topology"), std::string::npos);
-    EXPECT_FALSE(
-        api::tryParseRequestSpec(no_topology).has_value());
+    EXPECT_NE(rejection(no_topology).find("needs a topology"),
+              std::string::npos);
 
-    // A topology line that names no real topology is a parse
-    // failure, not a deferred fatal.
+    // A topology line that names no real topology is rejected with
+    // the topology parser's diagnostic, not a deferred fatal.
     std::string bad = good;
     const auto pos = bad.find("grid:2x4");
     ASSERT_NE(pos, std::string::npos);
     bad.replace(pos, 8, "gird:2x4");
-    EXPECT_FALSE(api::tryParseRequestSpec(bad).has_value());
+    EXPECT_NE(rejection(bad).find("gird"), std::string::npos);
 
     // Trailing bytes after the topology line are corruption.
     EXPECT_FALSE(

@@ -110,7 +110,8 @@ class BlockingParityStrategy final : public EncodingStrategy
 {
   public:
     SearchOutcome
-    search(const CompilationRequest &request) const override
+    search(const CompilationRequest &request,
+           double) const override
     {
         auto &control = blocker();
         control.entered.fetch_add(1);
